@@ -14,6 +14,7 @@ reverses every monomial. A scalar with no following factor multiplies the
 identity, so ``0`` and ``2`` are valid expressions. The minus sign may be
 written as ``-`` or U+2212. Scalars are parsed by the algebra's field, so
 ``1/2`` works over the rationals and over GF(p) when 2 is invertible.
+Parentheses nest at most 200 deep; deeper input is an ExprParseError.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ class ExprParseError(ValueError):
         super().__init__(message)
         self.pos = pos
 
+
+# The parser recurses three frames per parenthesis, so nesting is capped
+# well inside Python's default recursion limit of 1000.
+_MAX_NESTING = 200
 
 _TOKEN_RE = re.compile(
     r"(?P<name>[A-Za-z_]\w*)|(?P<int>\d+)|(?P<star>\^\*)|(?P<op>[-+*/()])"
@@ -63,6 +68,7 @@ class _Parser:
         self.tokens = tokens
         self.text = text
         self.at = 0
+        self.depth = 0
 
     def _peek(self) -> tuple[str, str, int] | None:
         if self.at < len(self.tokens):
@@ -157,8 +163,14 @@ class _Parser:
                 return base.involution()
             return base
         if tok[0] == "op" and tok[1] == "(":
+            if self.depth == _MAX_NESTING:
+                raise ExprParseError(
+                    "parentheses nested more than %d deep" % _MAX_NESTING, tok[2]
+                )
+            self.depth += 1
             inner = self.parse_expr()
             self._take_op(")")
+            self.depth -= 1
             if self._maybe_star():
                 return inner.involution()
             return inner

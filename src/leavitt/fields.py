@@ -21,19 +21,40 @@ class FieldError(ValueError):
     """A scalar could not be built: bad selector, bad text, or division by zero."""
 
 
+# The first thirteen primes as Miller-Rabin bases decide primality exactly
+# below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; the moduli seen here are small."""
+    """Deterministic Miller-Rabin, exact below 3,317,044,064,679,887,385,961,981.
+
+    Larger n raise FieldError: the fixed bases no longer decide them.
+    """
+    if n >= _MR_BOUND:
+        raise FieldError(
+            "cannot decide whether %d is prime: it exceeds %d" % (n, _MR_BOUND)
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -9,9 +9,11 @@ deterministic.
 
 Alongside the data type live the purely combinatorial notions the algebraic
 decision procedures consume: reachability trees, bifurcations, line points,
-hereditary and saturated vertex sets with their closure, simple cycles and
+hereditary and saturated vertex sets with their closure, acyclicity and
 Condition (L), quotient graphs, and the hedgehog extension of a hereditary
-set by its entry paths.
+set by its entry paths. Each whole-graph notion is one sweep over the
+vertices and edges; no routine enumerates cycles or recomputes a tree per
+vertex.
 """
 
 from __future__ import annotations
@@ -314,54 +316,44 @@ def is_bifurcation(graph: Graph, vertex: str) -> bool:
     return graph.out_degree(vertex) >= 2
 
 
-def vertices_on_cycles(graph: Graph) -> frozenset[str]:
-    """Vertices lying on at least one closed path."""
-    on = set()
-    for v in graph.vertices:
+def _path_counts(graph: Graph) -> dict[str, int | None]:
+    """The number of paths ending at each vertex, the trivial one included,
+    and None exactly where a cycle reaches the vertex.
+
+    Kahn's sweep settles a vertex once all its in-neighbours are settled;
+    the vertices it never settles are those that some cycle reaches.
+    """
+    waiting = {v: len(graph.in_edges(v)) for v in graph.vertices}
+    counts: dict[str, int | None] = dict.fromkeys(graph.vertices)
+    ready = [v for v in graph.vertices if not waiting[v]]
+    for v in ready:
+        counts[v] = 1 + sum(counts[e.source] for e in graph.in_edges(v))
         for e in graph.out_edges(v):
-            if v in tree(graph, e.range):
-                on.add(v)
-                break
-    return frozenset(on)
+            waiting[e.range] -= 1
+            if not waiting[e.range]:
+                ready.append(e.range)
+    return counts
 
 
 def is_acyclic(graph: Graph) -> bool:
-    """Whether the graph has no closed path.
-
-    Linear-time three-colour depth-first search; preferred over
-    ``vertices_on_cycles`` when only the yes/no answer is needed.
-    """
-    state = {v: 0 for v in graph.vertices}
-    for start in graph.vertices:
-        if state[start]:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        state[start] = 1
-        while stack:
-            at, i = stack[-1]
-            outs = graph.out_edges(at)
-            if i < len(outs):
-                stack[-1] = (at, i + 1)
-                nxt = outs[i].range
-                if state[nxt] == 1:
-                    return False
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, 0))
-            else:
-                state[at] = 2
-                stack.pop()
-    return True
+    """Whether the graph has no closed path: no vertex is reached by a cycle."""
+    return None not in _path_counts(graph).values()
 
 
 def line_points(graph: Graph) -> tuple[str, ...]:
     """Vertices whose tree contains no bifurcation and meets no cycle.
 
-    Returned in declaration order.
+    Such a tree is a walk through vertices of out-degree one that stops at
+    a sink, so one backward sweep from the sinks finds them all. Returned
+    in declaration order.
     """
-    bad = set(vertices_on_cycles(graph))
-    bad.update(v for v in graph.vertices if is_bifurcation(graph, v))
-    return tuple(v for v in graph.vertices if not (tree(graph, v) & bad))
+    found = list(graph.sinks())
+    for v in found:
+        found.extend(
+            e.source for e in graph.in_edges(v) if graph.out_degree(e.source) == 1
+        )
+    keep = set(found)
+    return tuple(v for v in graph.vertices if v in keep)
 
 
 # ----------------------------------------------------------------------
@@ -393,56 +385,30 @@ def is_saturated(graph: Graph, subset: Iterable[str]) -> bool:
 
 
 def hereditary_saturated_closure(graph: Graph, subset: Iterable[str]) -> frozenset[str]:
-    """The least hereditary and saturated superset."""
+    """The least hereditary and saturated superset.
+
+    A worklist: each vertex that joins pulls in its ranges, and a vertex
+    joins once none of its out-edges leaves the set any more.
+    """
     h = set(_vertex_set(graph, subset))
-    changed = True
-    while changed:
-        changed = False
-        for e in graph.edges:
-            if e.source in h and e.range not in h:
-                h.add(e.range)
-                changed = True
-        for v in graph.vertices:
-            if v in h or graph.is_sink(v):
-                continue
-            if all(e.range in h for e in graph.out_edges(v)):
-                h.add(v)
-                changed = True
+    leaving = {v: graph.out_degree(v) for v in graph.vertices}
+    joined = list(h)
+    for v in joined:
+        joining = [e.range for e in graph.out_edges(v)]
+        for e in graph.in_edges(v):
+            leaving[e.source] -= 1
+            if not leaving[e.source]:
+                joining.append(e.source)
+        for u in joining:
+            if u not in h:
+                h.add(u)
+                joined.append(u)
     return frozenset(h)
 
 
 # ----------------------------------------------------------------------
 # cycles and Condition (L)
 # ----------------------------------------------------------------------
-
-def simple_cycles(graph: Graph) -> tuple[Path, ...]:
-    """All simple closed paths, one canonical rotation each.
-
-    Each cycle is rooted at its least-declared vertex; parallel edges give
-    distinct cycles. Results are sorted shortlex. The search from an anchor
-    never descends below the anchor's index, so every cycle is produced
-    exactly once.
-    """
-    results: list[Path] = []
-
-    def walk(anchor: str, anchor_idx: int, at: str, used: list[str], visited: set[str]) -> None:
-        for e in graph.out_edges(at):
-            if graph.vertex_index(e.range) < anchor_idx:
-                continue
-            if e.range == anchor:
-                results.append(Path(anchor, tuple(used) + (e.name,), anchor))
-            elif e.range not in visited:
-                visited.add(e.range)
-                used.append(e.name)
-                walk(anchor, anchor_idx, e.range, used, visited)
-                used.pop()
-                visited.remove(e.range)
-
-    for anchor_idx, anchor in enumerate(graph.vertices):
-        walk(anchor, anchor_idx, anchor, [], {anchor})
-    results.sort(key=graph.path_sort_key)
-    return tuple(results)
-
 
 def require_cycle(graph: Graph, path: Path) -> Path:
     """Check that a path is a simple cycle: nontrivial, closed, no revisits."""
@@ -524,8 +490,9 @@ class HedgehogGraph:
     to the set, plus a fresh vertex per entry path (named by its dotted edge
     list) carrying a single edge (same name with an ``@`` prefix) to the
     path's range. complete is False when a cycle outside the set reaches it
-    (entry paths are then infinite in number; one such cycle is recorded) or
-    when the depth bound cut enumeration short.
+    (entry paths are then infinite in number; blocking_cycle is the
+    shortlex-first simple cycle among the vertices outside the set that
+    reach it) or when the depth bound cut enumeration short.
     """
 
     graph: Graph
@@ -563,6 +530,43 @@ def entry_paths(graph: Graph, subset: Iterable[str], max_length: int) -> list[Pa
     return found
 
 
+def _first_cycle(graph: Graph, allowed: set[str]) -> Path | None:
+    """The shortlex-first simple cycle on allowed vertices, rooted at its
+    least-declared vertex. Empties ``allowed``.
+
+    A shortest closed path through an anchor is simple, and a breadth-first
+    search scanning out-edges in declaration order reaches each vertex first
+    along its shortlex-first shortest path. One search per anchor, over the
+    allowed vertices declared after it, gives the anchor's first cycle; the
+    first anchor with the shortest one wins.
+    """
+    best = None
+    for anchor in graph.vertices:
+        if anchor not in allowed:
+            continue
+        allowed.discard(anchor)
+        via: dict[str, Edge] = {}
+        queue = [anchor]
+        for at in queue:
+            closing = next((e for e in graph.out_edges(at) if e.range == anchor), None)
+            if closing is not None:
+                break
+            for e in graph.out_edges(at):
+                if e.range in allowed and e.range not in via:
+                    via[e.range] = e
+                    queue.append(e.range)
+        if closing is None:
+            continue
+        edges = [closing.name]
+        while at != anchor:
+            edges.append(via[at].name)
+            at = via[at].source
+        cycle = Path(anchor, tuple(reversed(edges)), anchor)
+        if best is None or len(cycle) < len(best):
+            best = cycle
+    return best
+
+
 def hedgehog_graph(
     graph: Graph, subset: Iterable[str], depth_bound: int | None = None
 ) -> HedgehogGraph:
@@ -570,7 +574,8 @@ def hedgehog_graph(
 
     With no cycle outside the set reaching it, entry paths cannot revisit a
     vertex, so the default depth bound (vertex count + 1) captures every one
-    of them and the result is complete.
+    of them and the result is complete. The vertices outside the set that
+    reach it come from one backward search.
     """
     h = _vertex_set(graph, subset)
     if not is_hereditary(graph, h):
@@ -578,14 +583,14 @@ def hedgehog_graph(
     if depth_bound is None:
         depth_bound = len(graph.vertices) + 1
 
-    reaching = {
-        v for v in graph.vertices if v not in h and tree(graph, v) & h
-    }
-    blocking = None
-    for cycle in simple_cycles(graph):
-        if all(v in reaching for v in graph.path_vertices(cycle)[:-1]):
-            blocking = cycle
-            break
+    seen = set(h)
+    queue = list(h)
+    for v in queue:
+        fresh = {e.source for e in graph.in_edges(v)} - seen
+        seen |= fresh
+        queue.extend(fresh)
+    counts = _path_counts(graph)
+    blocking = _first_cycle(graph, {v for v in seen - h if counts[v] is None})
 
     # Every entry path of length l+1 extends one of length l, so the
     # enumeration has no gaps: one probe layer past the bound settles

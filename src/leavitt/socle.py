@@ -25,17 +25,11 @@ from .graphs import (
     hereditary_saturated_closure,
     is_acyclic,
     line_points,
+    paths_from_by_length,
     quotient_graph,
-    tree,
-    vertices_on_cycles,
+    _path_counts,
+    _vertex_set,
 )
-
-
-def _checked_vertices(graph: Graph, names: Iterable[str]) -> frozenset[str]:
-    out = frozenset(names)
-    for v in out:
-        graph.require_vertex(v)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +65,7 @@ def quotient_image(
     same field) lets several images land in one algebra.
     """
     algebra = x.algebra
-    h = _checked_vertices(algebra.graph, subset)
+    h = _vertex_set(algebra.graph, subset)
     if not h:
         return x
     if target is None:
@@ -109,7 +103,7 @@ def left_ideal_sum_membership(x: Element, vertices: Iterable[str]) -> bool:
     exactly the elements of the sum.
     """
     algebra = x.algebra
-    names = _checked_vertices(algebra.graph, vertices)
+    names = _vertex_set(algebra.graph, vertices)
     if not names:
         raise SubsetError("membership in an empty sum of left ideals")
     u = algebra.zero()
@@ -121,36 +115,6 @@ def left_ideal_sum_membership(x: Element, vertices: Iterable[str]) -> bool:
 # ----------------------------------------------------------------------
 # matricial structure
 # ----------------------------------------------------------------------
-
-def _paths_ending_at(graph: Graph, sink: str, on_cycles: frozenset[str]) -> int | None:
-    """Count the paths of any length with the given range, None for infinity.
-
-    Infinitely many exist exactly when a cycle reaches the sink. Otherwise
-    the vertices reaching it induce a finite acyclic piece and the counts
-    f(v) of paths from v satisfy f(v) = sum of f(r(e)) over edges at v,
-    accumulated sink-first.
-    """
-    reach = frozenset(v for v in graph.vertices if sink in tree(graph, v))
-    if reach & on_cycles:
-        return None
-    f = {v: 0 for v in reach}
-    f[sink] = 1
-    pending = {
-        v: sum(1 for e in graph.out_edges(v) if e.range in reach) for v in reach
-    }
-    ready = [v for v in reach if pending[v] == 0]
-    while ready:
-        v = ready.pop()
-        for e in graph.in_edges(v):
-            u = e.source
-            if u not in reach:
-                continue
-            f[u] += f[v]
-            pending[u] -= 1
-            if pending[u] == 0:
-                ready.append(u)
-    return sum(f.values())
-
 
 @dataclass(frozen=True)
 class SocleReport:
@@ -183,8 +147,8 @@ def socle_structure(graph: Graph, depth_bound: int | None = None) -> SocleReport
     """
     pl = line_points(graph)
     h = hereditary_saturated_closure(graph, pl)
-    on = vertices_on_cycles(graph)
-    sizes = [_paths_ending_at(graph, w, on) for w in graph.sinks() if w in h]
+    counts = _path_counts(graph)
+    sizes = [counts[w] for w in graph.sinks() if w in h]
     summands = tuple(sorted(n for n in sizes if n is not None)) + tuple(
         n for n in sizes if n is None
     )
@@ -257,22 +221,6 @@ class SinkMatrices:
         return SinkMatrices(self.field, self.sinks, self.sizes, tuple(out))
 
 
-def _sink_bound_paths(graph: Graph) -> list[Path]:
-    """Every path whose range is a sink, layer by layer per source."""
-    out = []
-    for v in graph.vertices:
-        layer = [graph.trivial_path(v)]
-        while layer:
-            nxt = []
-            for p in layer:
-                if graph.is_sink(p.range):
-                    out.append(p)
-                for e in graph.out_edges(p.range):
-                    nxt.append(graph.extend(p, e))
-            layer = nxt
-    return out
-
-
 def matrix_rep(x: Element) -> SinkMatrices:
     """The image of an element under the block-matrix isomorphism.
 
@@ -286,7 +234,14 @@ def matrix_rep(x: Element) -> SinkMatrices:
     graph = algebra.graph
     if not is_acyclic(graph):
         raise CyclicGraphError("matrix representation needs an acyclic graph")
-    bound = _sink_bound_paths(graph)
+    # In an acyclic graph a path has fewer edges than the graph has vertices.
+    bound = [
+        p
+        for v in graph.vertices
+        for layer in paths_from_by_length(graph, v, len(graph.vertices) - 1)
+        for p in layer
+        if graph.is_sink(p.range)
+    ]
     tails: dict[str, list[Path]] = {v: [] for v in graph.vertices}
     for p in bound:
         tails[p.source].append(p)

@@ -1,0 +1,171 @@
+"""Slow but obvious graph routines, kept as oracles for the library's sweeps.
+
+Each function follows the definition it implements as directly as it can:
+trees are recomputed per vertex, cycles are enumerated one by one, and the
+closure is iterated to a fixpoint. They are exponential or polynomial of
+high degree, so tests run them on small graphs only.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from leavitt.graphs import (
+    Edge,
+    Graph,
+    HedgehogGraph,
+    Path,
+    SubsetError,
+    _vertex_set,
+    entry_paths,
+    is_bifurcation,
+    is_hereditary,
+    tree,
+)
+
+
+def vertices_on_cycles(graph: Graph) -> frozenset[str]:
+    """Vertices lying on at least one closed path."""
+    on = set()
+    for v in graph.vertices:
+        for e in graph.out_edges(v):
+            if v in tree(graph, e.range):
+                on.add(v)
+                break
+    return frozenset(on)
+
+
+def is_acyclic(graph: Graph) -> bool:
+    return not vertices_on_cycles(graph)
+
+
+def line_points(graph: Graph) -> tuple[str, ...]:
+    """Vertices whose tree contains no bifurcation and meets no cycle.
+
+    Returned in declaration order.
+    """
+    bad = set(vertices_on_cycles(graph))
+    bad.update(v for v in graph.vertices if is_bifurcation(graph, v))
+    return tuple(v for v in graph.vertices if not (tree(graph, v) & bad))
+
+
+def hereditary_saturated_closure(graph: Graph, subset: Iterable[str]) -> frozenset[str]:
+    """The least hereditary and saturated superset."""
+    h = set(_vertex_set(graph, subset))
+    changed = True
+    while changed:
+        changed = False
+        for e in graph.edges:
+            if e.source in h and e.range not in h:
+                h.add(e.range)
+                changed = True
+        for v in graph.vertices:
+            if v in h or graph.is_sink(v):
+                continue
+            if all(e.range in h for e in graph.out_edges(v)):
+                h.add(v)
+                changed = True
+    return frozenset(h)
+
+
+def paths_ending_at(graph: Graph, sink: str, on_cycles: frozenset[str]) -> int | None:
+    """Count the paths of any length with the given range, None for infinity.
+
+    Infinitely many exist exactly when a cycle reaches the sink. Otherwise
+    the vertices reaching it induce a finite acyclic piece and the counts
+    f(v) of paths from v satisfy f(v) = sum of f(r(e)) over edges at v,
+    accumulated sink-first.
+    """
+    reach = frozenset(v for v in graph.vertices if sink in tree(graph, v))
+    if reach & on_cycles:
+        return None
+    f = {v: 0 for v in reach}
+    f[sink] = 1
+    pending = {
+        v: sum(1 for e in graph.out_edges(v) if e.range in reach) for v in reach
+    }
+    ready = [v for v in reach if pending[v] == 0]
+    while ready:
+        v = ready.pop()
+        for e in graph.in_edges(v):
+            u = e.source
+            if u not in reach:
+                continue
+            f[u] += f[v]
+            pending[u] -= 1
+            if pending[u] == 0:
+                ready.append(u)
+    return sum(f.values())
+
+
+def simple_cycles(graph: Graph) -> tuple[Path, ...]:
+    """All simple closed paths, one canonical rotation each.
+
+    Each cycle is rooted at its least-declared vertex; parallel edges give
+    distinct cycles. Results are sorted shortlex. The search from an anchor
+    never descends below the anchor's index, so every cycle is produced
+    exactly once.
+    """
+    results: list[Path] = []
+
+    def walk(anchor: str, anchor_idx: int, at: str, used: list[str], visited: set[str]) -> None:
+        for e in graph.out_edges(at):
+            if graph.vertex_index(e.range) < anchor_idx:
+                continue
+            if e.range == anchor:
+                results.append(Path(anchor, tuple(used) + (e.name,), anchor))
+            elif e.range not in visited:
+                visited.add(e.range)
+                used.append(e.name)
+                walk(anchor, anchor_idx, e.range, used, visited)
+                used.pop()
+                visited.remove(e.range)
+
+    for anchor_idx, anchor in enumerate(graph.vertices):
+        walk(anchor, anchor_idx, anchor, [], {anchor})
+    results.sort(key=graph.path_sort_key)
+    return tuple(results)
+
+
+def hedgehog_graph(
+    graph: Graph, subset: Iterable[str], depth_bound: int | None = None
+) -> HedgehogGraph:
+    """The hedgehog with its blocking cycle picked from every simple cycle:
+    the first, shortlex, all of whose vertices lie outside the set and
+    reach it."""
+    h = _vertex_set(graph, subset)
+    if not is_hereditary(graph, h):
+        raise SubsetError("subset is not hereditary")
+    if depth_bound is None:
+        depth_bound = len(graph.vertices) + 1
+
+    reaching = {
+        v for v in graph.vertices if v not in h and tree(graph, v) & h
+    }
+    blocking = None
+    for cycle in simple_cycles(graph):
+        if all(v in reaching for v in graph.path_vertices(cycle)[:-1]):
+            blocking = cycle
+            break
+
+    probed = entry_paths(graph, h, depth_bound + 1)
+    spines = [p for p in probed if len(p) <= depth_bound]
+    complete = blocking is None and len(spines) == len(probed)
+
+    vertices = list(graph.sorted_vertices(h))
+    edges = [e for e in graph.edges if e.source in h]
+    entry_names = []
+    for p in spines:
+        name = ".".join(p.edges)
+        entry_names.append(name)
+        vertices.append(name)
+        edges.append(Edge("@" + name, name, p.range))
+    if not vertices:
+        raise SubsetError("hedgehog of the empty set is empty")
+    return HedgehogGraph(
+        graph=Graph(vertices, edges),
+        ideal_part=graph.sorted_vertices(h),
+        entry_part=tuple(entry_names),
+        complete=complete,
+        blocking_cycle=blocking,
+    )

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import leavitt
 from leavitt.cli import main
 
 
@@ -247,3 +251,31 @@ def test_output_is_deterministic(capsys, write_graph):
     first = run(capsys, "structure", path, "--format", "json")
     second = run(capsys, "structure", path, "--format", "json")
     assert first == second
+
+
+def _run_module(tmp_path, *argv):
+    """Run the CLI as a child process, as the installed script would."""
+    src = os.path.dirname(os.path.dirname(leavitt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "leavitt.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+
+
+def test_socle_of_a_long_line(tmp_path):
+    path = tmp_path / "line.graph"
+    path.write_text(
+        "vertices: " + " ".join("v%d" % i for i in range(1, 1001)) + "\n"
+        + "".join("edge e%d: v%d -> v%d\n" % (i, i, i + 1) for i in range(1, 1000)),
+        encoding="utf-8",
+    )
+    proc = _run_module(tmp_path, "socle", str(path))
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines()[2] == "summands: 1000"
+
+
+def test_eval_rejects_deep_nesting(capsys, write_graph):
+    deep = "(" * 3000 + "v" + ")" * 3000
+    rc, out, err = run(capsys, "eval", write_graph("W"), "--expr", deep)
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")

@@ -91,3 +91,11 @@ def test_scalars_obey_the_field(graphs):
     gf2 = LeavittAlgebra(graphs["W"], PrimeField(2))
     with pytest.raises(ExprParseError):
         parse_element(gf2, "1/2*v")
+
+
+def test_nesting_depth_is_capped(graphs):
+    algebra = LeavittAlgebra(graphs["L3"])
+    assert str(parse_element(algebra, "(" * 50 + "v1" + ")" * 50)) == "1*v1"
+    with pytest.raises(ExprParseError) as info:
+        parse_element(algebra, "(" * 3000 + "v1" + ")" * 3000)
+    assert "nested" in str(info.value)

@@ -13,6 +13,30 @@ from leavitt import (
 )
 
 
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert all(is_prime(n) == _trial_division(n) for n in range(10**5))
+
+
+def test_is_prime_on_large_numbers():
+    assert is_prime(2**61 - 1)
+    assert not is_prime(3215031751)  # a strong pseudoprime to bases 2, 3, 5, 7
+    with pytest.raises(FieldError):
+        is_prime(2**89 - 1)
+    with pytest.raises(FieldError):
+        field_from_selector("gf:%d" % (2**89 - 1))
+
+
 def test_is_prime_small_values():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert is_prime(97)

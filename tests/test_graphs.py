@@ -24,14 +24,15 @@ from leavitt import (
     paths_from_by_length,
     quotient_graph,
     require_cycle,
-    simple_cycles,
     to_dot,
     tree,
-    vertices_on_cycles,
 )
+from leavitt.graphs import _path_counts
 from leavitt.sampling import random_graph
 
 from conftest import FIXTURE_TEXTS
+import oracles
+from oracles import simple_cycles, vertices_on_cycles
 
 
 # ----------------------------------------------------------------------
@@ -420,3 +421,59 @@ def test_to_dot_quotes_awkward_names():
     text = to_dot(g)
     assert '"b.c";' in text
     assert 'a -> "b.c" [label="x.y"];' in text
+
+
+# ----------------------------------------------------------------------
+# sweeps against the oracles
+# ----------------------------------------------------------------------
+
+def _cycles_with_a_sink(rng):
+    """Up to five vertices with one to two edges each on average, plus a
+    sink w fed by one or two edges, declared in shuffled order."""
+    n = rng.randint(1, 5)
+    vs = ["v%d" % i for i in range(1, n + 1)]
+    edges = [
+        Edge("e%d" % i, rng.choice(vs), rng.choice(vs))
+        for i in range(1, rng.randint(n, 2 * n) + 1)
+    ]
+    edges += [
+        Edge("s%d" % i, rng.choice(vs), "w") for i in range(1, rng.randint(1, 2) + 1)
+    ]
+    order = vs + ["w"]
+    rng.shuffle(order)
+    return Graph(order, edges)
+
+
+def _oracle_graphs():
+    rng = random.Random(29)
+    for _ in range(300):
+        yield random_graph(rng)
+    for _ in range(200):
+        yield _cycles_with_a_sink(rng)
+
+
+def test_sweeps_match_the_oracles():
+    rng = random.Random(31)
+    blocked = 0
+    for g in _oracle_graphs():
+        assert line_points(g) == oracles.line_points(g)
+        assert is_acyclic(g) == oracles.is_acyclic(g)
+        seeds = {v for v in g.vertices if rng.random() < 0.3}
+        assert hereditary_saturated_closure(
+            g, seeds
+        ) == oracles.hereditary_saturated_closure(g, seeds)
+        on = vertices_on_cycles(g)
+        counts = _path_counts(g)
+        for w in g.sinks():
+            assert counts[w] == oracles.paths_ending_at(g, w, on)
+        h = hereditary_saturated_closure(g, line_points(g))
+        assert h == oracles.hereditary_saturated_closure(g, oracles.line_points(g))
+        if not h:
+            with pytest.raises(SubsetError):
+                hedgehog_graph(g, h)
+            continue
+        hh = hedgehog_graph(g, h)
+        assert hh == oracles.hedgehog_graph(g, h)
+        blocked += hh.blocking_cycle is not None
+    # The cycle-heavy family must actually exercise the blocking cycle.
+    assert blocked >= 100

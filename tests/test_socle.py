@@ -21,6 +21,7 @@ from leavitt import (
     socle_structure,
 )
 from leavitt.sampling import (
+    line_graph,
     random_element,
     random_graph,
     random_nonzero_element,
@@ -309,3 +310,12 @@ def test_structure_agrees_with_matrices_on_acyclic_graphs():
         algebra = LeavittAlgebra(g, QQ)
         rep = matrix_rep(algebra.one())
         assert sorted(rep.sizes) == list(report.summands)
+
+
+def test_structure_of_a_long_line():
+    # A simple path of 1,000 edges once overflowed the recursive cycle search.
+    report = socle_structure(line_graph(1000))
+    assert len(report.line_points) == 1000
+    assert report.summands == (1000,)
+    assert report.socle_is_whole
+    assert report.hedgehog.complete and report.hedgehog.blocking_cycle is None
