@@ -165,8 +165,7 @@ class LeavittAlgebra:
         strategy: str = "min",
         max_steps: int = DEFAULT_STEP_LIMIT,
     ) -> "Element":
-        terms, _ = self._normalize(pairs, strategy, max_steps)
-        return Element(self, terms)
+        return self.normal_form_steps(pairs, strategy, max_steps)[0]
 
     def normal_form_steps(
         self,
@@ -300,12 +299,7 @@ class LeavittAlgebra:
 
     def mono_mul(self, m1: Monomial, m2: Monomial) -> "Element":
         """The renormalized product of two monomials."""
-        self._check_monomial(m1)
-        self._check_monomial(m2)
-        raw = self._mono_mul_raw(m1, m2)
-        if raw is None:
-            return self.zero()
-        return self.normal_form(((self.field.one(), raw),))
+        return self.monomial(m1.real, m1.ghost) * self.monomial(m2.real, m2.ghost)
 
     # ------------------------------------------------------------------
     # corner enumeration
@@ -320,25 +314,18 @@ class LeavittAlgebra:
         demand so that an early-exiting consumer never pays for the long
         ones.
         """
-        self.graph.require_vertex(vertex)
-        layers: list[list[Path]] = [[self.graph.trivial_path(vertex)]]
-
-        def layer(n: int) -> list[Path]:
-            while len(layers) <= n:
-                grown = [
-                    self.graph.extend(p, e)
-                    for p in layers[-1]
-                    for e in self.graph.out_edges(p.range)
-                ]
-                grown.sort(key=self.graph.path_sort_key)
-                layers.append(grown)
-            return layers[n]
-
+        g = self.graph
+        layers = [[g.trivial_path(vertex)]]
         for total in range(max_total_length + 1):
+            if total:
+                # One source and length: shortlex is lexicographic in the
+                # edges, so extending in out-edge order keeps a layer sorted.
+                layers.append(
+                    [g.extend(p, e) for p in layers[-1] for e in g.out_edges(p.range)]
+                )
             for ghost_len in range(total + 1):
-                real_len = total - ghost_len
-                for p in layer(real_len):
-                    for q in layer(ghost_len):
+                for p in layers[total - ghost_len]:
+                    for q in layers[ghost_len]:
                         if q.range != p.range:
                             continue
                         m = Monomial(p, q)

@@ -46,6 +46,17 @@ def _load_graph(path: str) -> Graph:
         return parse_graph(handle.read())
 
 
+def _depth_bound(text: str) -> int:
+    """A hedgehog depth bound: a nonnegative integer."""
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if depth < 0:
+        raise argparse.ArgumentTypeError("negative depth bound %d" % depth)
+    return depth
+
+
 def _print_json(obj: dict) -> None:
     payload = {"schema": 1}
     payload.update(obj)
@@ -321,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         if depth:
             p.add_argument(
                 "--depth",
-                type=int,
+                type=_depth_bound,
                 default=None,
                 help="hedgehog depth bound (default: vertex count + 1)",
             )

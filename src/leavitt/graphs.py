@@ -530,6 +530,18 @@ def entry_paths(graph: Graph, subset: Iterable[str], max_length: int) -> list[Pa
     return found
 
 
+def _reaching(graph: Graph, seeds: Iterable[str], seen: set[str]) -> set[str]:
+    """One backward search: add to ``seen`` the seeds and every vertex that
+    reaches one of them through unseen vertices, and return it."""
+    queue = [v for v in seeds if v not in seen]
+    seen.update(queue)
+    for v in queue:
+        fresh = {e.source for e in graph.in_edges(v)} - seen
+        seen |= fresh
+        queue.extend(fresh)
+    return seen
+
+
 def _first_cycle(graph: Graph, allowed: set[str]) -> Path | None:
     """The shortlex-first simple cycle on allowed vertices, rooted at its
     least-declared vertex. Empties ``allowed``.
@@ -575,22 +587,20 @@ def hedgehog_graph(
     With no cycle outside the set reaching it, entry paths cannot revisit a
     vertex, so the default depth bound (vertex count + 1) captures every one
     of them and the result is complete. The vertices outside the set that
-    reach it come from one backward search.
+    reach it come from one backward search. A negative bound is an error.
     """
     h = _vertex_set(graph, subset)
     if not is_hereditary(graph, h):
         raise SubsetError("subset is not hereditary")
     if depth_bound is None:
         depth_bound = len(graph.vertices) + 1
+    if depth_bound < 0:
+        raise GraphError("negative hedgehog depth bound %d" % depth_bound)
 
-    seen = set(h)
-    queue = list(h)
-    for v in queue:
-        fresh = {e.source for e in graph.in_edges(v)} - seen
-        seen |= fresh
-        queue.extend(fresh)
     counts = _path_counts(graph)
-    blocking = _first_cycle(graph, {v for v in seen - h if counts[v] is None})
+    blocking = _first_cycle(
+        graph, {v for v in _reaching(graph, h, set()) - h if counts[v] is None}
+    )
 
     # Every entry path of length l+1 extends one of length l, so the
     # enumeration has no gaps: one probe layer past the bound settles

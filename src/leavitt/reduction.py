@@ -39,6 +39,7 @@ from .graphs import (
     hereditary_saturated_closure,
     line_points,
     require_cycle,
+    _reaching,
 )
 
 
@@ -169,20 +170,6 @@ def _first_bifurcation(graph: Graph, path: Path) -> int | None:
     return None
 
 
-def _minimal_cycle_at(graph: Graph, vertex: str) -> Path:
-    """First return of the deterministic walk from a vertex all of whose
-    reachable part has single out-edges."""
-    edges: list[str] = []
-    at = vertex
-    for _ in range(len(graph.vertices) + 1):
-        e = graph.out_edges(at)[0]
-        edges.append(e.name)
-        at = e.range
-        if at == vertex:
-            return graph.path(vertex, edges)
-    raise AlgebraError("deterministic walk from %r does not return" % vertex)
-
-
 def reduce(x: Element) -> ReductionWitness:
     """A replayable reduction of a nonzero element to a corner form."""
     if x.is_zero:
@@ -247,17 +234,13 @@ def reduce(x: Element) -> ReductionWitness:
             continue
         exit_pos = _first_bifurcation(g, root)
         if exit_pos is None:
-            # No exit anywhere on the root: y is a polynomial in the
-            # minimal cycle at the base vertex.
-            cmin = _minimal_cycle_at(g, base)
-            coeffs = sorted(
-                ((len(m.real) // len(cmin), c) for m, c in y.items()),
-                key=lambda pair: pair[0],
-            )
+            # No exit anywhere on the root: it is a power of the cycle that
+            # first returns to the base vertex, and y is a polynomial in it
+            # whose terms come shortest first, so exponents ascend.
+            cmin = g.path(base, root.edges[: g.path_vertices(root).index(base, 1)])
+            coeffs = tuple((len(m.real) // len(cmin), c) for m, c in y.items())
             return ReductionWitness(
-                tuple(left),
-                tuple(right),
-                CyclePolynomial(base, cmin, tuple(coeffs)),
+                tuple(left), tuple(right), CyclePolynomial(base, cmin, coeffs)
             )
         # Conjugate up to the first bifurcation of the root, then escape
         # along a different edge there: every root power dies against it
@@ -358,15 +341,30 @@ def nondegeneracy_witness(x: Element) -> Element:
 
 
 def is_simple(graph: Graph) -> bool:
-    """Simplicity of the algebra: Condition (L) together with a trivial
-    hereditary saturated lattice (every vertex generates everything)."""
+    """Simplicity of the algebra: Condition (L), and no hereditary saturated
+    vertex set but the empty and the full one.
+
+    Every nonempty hereditary set holds a strongly connected component that
+    no edge leaves, and the closure of a vertex of one such component meets
+    no other; so the sets are trivial exactly when that closure is
+    everything. Two sinks fail; one sink is the vertex; without sinks it is
+    the last start of backward searches from each unseen vertex, as all it
+    reaches is seen by its own search and so reaches it back.
+    """
     if not condition_L(graph):
         return False
-    full = frozenset(graph.vertices)
-    return all(
-        hereditary_saturated_closure(graph, (v,)) == full
-        for v in graph.vertices
-    )
+    sinks = graph.sinks()
+    if len(sinks) > 1:
+        return False
+    if sinks:
+        root = sinks[0]
+    else:
+        seen: set[str] = set()
+        for v in graph.vertices:
+            if v not in seen:
+                root = v
+                _reaching(graph, (v,), seen)
+    return hereditary_saturated_closure(graph, (root,)) == frozenset(graph.vertices)
 
 
 def vertex_ideal_minimal(graph: Graph, vertex: str) -> bool:

@@ -21,11 +21,11 @@ from .graphs import (
     HedgehogGraph,
     Path,
     SubsetError,
+    entry_paths,
     hedgehog_graph,
     hereditary_saturated_closure,
     is_acyclic,
     line_points,
-    paths_from_by_length,
     quotient_graph,
     _path_counts,
     _vertex_set,
@@ -234,24 +234,17 @@ def matrix_rep(x: Element) -> SinkMatrices:
     graph = algebra.graph
     if not is_acyclic(graph):
         raise CyclicGraphError("matrix representation needs an acyclic graph")
-    # In an acyclic graph a path has fewer edges than the graph has vertices.
-    bound = [
-        p
-        for v in graph.vertices
-        for layer in paths_from_by_length(graph, v, len(graph.vertices) - 1)
-        for p in layer
-        if graph.is_sink(p.range)
-    ]
-    tails: dict[str, list[Path]] = {v: [] for v in graph.vertices}
-    for p in bound:
-        tails[p.source].append(p)
     sinks = graph.sinks()
     index: dict[str, dict[Path, int]] = {}
+    tails: dict[str, list[Path]] = {v: [] for v in graph.vertices}
     for w in sinks:
-        ending = sorted(
-            (p for p in bound if p.range == w), key=graph.path_sort_key
-        )
+        # No edge leaves a sink, so a path ending at w meets it only at its
+        # end: past the trivial one, these are the entry paths of {w}, which
+        # come in shortlex order.
+        ending = [graph.trivial_path(w)] + entry_paths(graph, (w,), len(graph.vertices))
         index[w] = {p: i for i, p in enumerate(ending)}
+        for p in ending:
+            tails[p.source].append(p)
     sizes = tuple(len(index[w]) for w in sinks)
     zero = algebra.field.zero()
     blocks = [

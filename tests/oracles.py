@@ -1,27 +1,33 @@
-"""Slow but obvious graph routines, kept as oracles for the library's sweeps.
+"""Slow but obvious routines, kept as oracles for the library's sweeps.
 
 Each function follows the definition it implements as directly as it can:
-trees are recomputed per vertex, cycles are enumerated one by one, and the
-closure is iterated to a fixpoint. They are exponential or polynomial of
-high degree, so tests run them on small graphs only.
+trees are recomputed per vertex, cycles are enumerated one by one, the
+closure is iterated to a fixpoint and taken once per vertex for simplicity,
+and paths are listed from every vertex. They are exponential or polynomial
+of high degree, so tests run them on small graphs only.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from leavitt.algebra import AlgebraError, Element, LeavittAlgebra, Monomial
 from leavitt.graphs import (
+    CyclicGraphError,
     Edge,
     Graph,
     HedgehogGraph,
     Path,
     SubsetError,
     _vertex_set,
+    condition_L,
     entry_paths,
     is_bifurcation,
     is_hereditary,
+    paths_from_by_length,
     tree,
 )
+from leavitt.socle import SinkMatrices
 
 
 def vertices_on_cycles(graph: Graph) -> frozenset[str]:
@@ -168,4 +174,95 @@ def hedgehog_graph(
         entry_part=tuple(entry_names),
         complete=complete,
         blocking_cycle=blocking,
+    )
+
+
+def is_simple(graph: Graph) -> bool:
+    """Simplicity of the algebra: Condition (L) together with a trivial
+    hereditary saturated lattice (every vertex generates everything)."""
+    if not condition_L(graph):
+        return False
+    full = frozenset(graph.vertices)
+    return all(
+        hereditary_saturated_closure(graph, (v,)) == full
+        for v in graph.vertices
+    )
+
+
+def minimal_cycle_at(graph: Graph, vertex: str) -> Path:
+    """First return of the deterministic walk from a vertex all of whose
+    reachable part has single out-edges."""
+    edges: list[str] = []
+    at = vertex
+    for _ in range(len(graph.vertices) + 1):
+        e = graph.out_edges(at)[0]
+        edges.append(e.name)
+        at = e.range
+        if at == vertex:
+            return graph.path(vertex, edges)
+    raise AlgebraError("deterministic walk from %r does not return" % vertex)
+
+
+def matrix_rep(x: Element) -> SinkMatrices:
+    """The block-matrix image, rows found among the paths from every vertex
+    that end at a sink."""
+    algebra = x.algebra
+    graph = algebra.graph
+    if not is_acyclic(graph):
+        raise CyclicGraphError("matrix representation needs an acyclic graph")
+    # In an acyclic graph a path has fewer edges than the graph has vertices.
+    bound = [
+        p
+        for v in graph.vertices
+        for layer in paths_from_by_length(graph, v, len(graph.vertices) - 1)
+        for p in layer
+        if graph.is_sink(p.range)
+    ]
+    tails: dict[str, list[Path]] = {v: [] for v in graph.vertices}
+    for p in bound:
+        tails[p.source].append(p)
+    sinks = graph.sinks()
+    index: dict[str, dict[Path, int]] = {}
+    for w in sinks:
+        ending = sorted(
+            (p for p in bound if p.range == w), key=graph.path_sort_key
+        )
+        index[w] = {p: i for i, p in enumerate(ending)}
+    sizes = tuple(len(index[w]) for w in sinks)
+    zero = algebra.field.zero()
+    blocks = [
+        [[zero for _ in range(n)] for _ in range(n)] for n in sizes
+    ]
+    at = {w: i for i, w in enumerate(sinks)}
+    for m, c in x.items():
+        for tau in tails[m.real.range]:
+            w = tau.range
+            block = blocks[at[w]]
+            row = index[w][graph.concat(m.real, tau)]
+            col = index[w][graph.concat(m.ghost, tau)]
+            block[row][col] = block[row][col] + c
+    frozen = tuple(tuple(tuple(row) for row in block) for block in blocks)
+    return SinkMatrices(algebra.field, sinks, sizes, frozen)
+
+
+def corner_basis(
+    algebra: LeavittAlgebra, vertex: str, max_total_length: int
+) -> tuple[Monomial, ...]:
+    """Every pair of paths from the vertex with a common range and total
+    length within the bound, kept when irreducible and sorted by the
+    normal-form order."""
+    layers = paths_from_by_length(algebra.graph, vertex, max_total_length)
+    found = [
+        Monomial(p, q)
+        for real_len, reals in enumerate(layers)
+        for p in reals
+        for ghosts in layers[: max_total_length - real_len + 1]
+        for q in ghosts
+        if p.range == q.range
+    ]
+    return tuple(
+        sorted(
+            (m for m in found if not algebra._is_reducible(m)),
+            key=algebra._mono_key,
+        )
     )

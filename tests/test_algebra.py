@@ -13,7 +13,14 @@ from leavitt import (
     parse_element,
     special_edges,
 )
-from leavitt.sampling import random_element, random_nonzero_element, random_raw_terms
+from leavitt.sampling import (
+    random_element,
+    random_graph,
+    random_nonzero_element,
+    random_raw_terms,
+)
+
+import oracles
 
 
 def test_special_edges(graphs):
@@ -226,6 +233,17 @@ def test_corner_basis_examples(algebras):
     W = algebras["W"]
     assert [m.text() for m in W.corner_basis("z", 2)] == ["z", "f f^*"]
     assert [m.text() for m in W.corner_basis("v", 3)] == ["v"]
+
+
+def test_corner_basis_matches_the_sorted_oracle(algebras):
+    rng = random.Random(107)
+    samples = list(algebras.values()) + [
+        LeavittAlgebra(random_graph(rng, max_vertices=5, max_edges=8))
+        for _ in range(60)
+    ]
+    for algebra in samples:
+        for v in algebra.graph.vertices:
+            assert algebra.corner_basis(v, 4) == oracles.corner_basis(algebra, v, 4)
 
 
 def test_corner_enumeration_is_lazy(algebras):

@@ -246,6 +246,19 @@ def test_exit_codes(capsys, tmp_path, write_graph):
     capsys.readouterr()
 
 
+def test_depth_must_be_nonnegative(capsys, tmp_path):
+    path = tmp_path / "g.graph"
+    path.write_text(
+        "vertices: x y s\nedge a: x -> y\nedge b: x -> s\nedge c: y -> y\n",
+        encoding="utf-8",
+    )
+    for command in ("socle", "structure"):
+        rc, out, err = run(capsys, command, str(path), "--depth", "-1")
+        assert (rc, out) == (2, "") and "--depth" in err
+    rc, out, _ = run(capsys, "structure", str(path), "--depth", "0")
+    assert rc == 0 and "hedgehog complete: false" in out.splitlines()
+
+
 def test_output_is_deterministic(capsys, write_graph):
     path = write_graph("LS")
     first = run(capsys, "structure", path, "--format", "json")

@@ -379,6 +379,18 @@ def test_hedgehog_truncates_behind_a_blocking_cycle(graphs):
     assert len(deeper.entry_part) == 5
 
 
+def test_hedgehog_rejects_a_negative_depth():
+    # The entry path b exists, so no bound below 1 yields a complete hedgehog.
+    g = parse_graph(
+        "vertices: x y s\nedge a: x -> y\nedge b: x -> s\nedge c: y -> y\n"
+    )
+    with pytest.raises(GraphError):
+        hedgehog_graph(g, {"s"}, depth_bound=-1)
+    shallow = hedgehog_graph(g, {"s"}, depth_bound=0)
+    assert not shallow.complete and shallow.entry_part == ()
+    assert hedgehog_graph(g, {"s"}).entry_part == ("b",)
+
+
 def test_hedgehog_rejects_bad_subsets(graphs):
     with pytest.raises(SubsetError):
         hedgehog_graph(graphs["W"], {"z"})

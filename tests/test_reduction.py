@@ -1,12 +1,16 @@
 import random
+from math import gcd
 
 import pytest
 
 from leavitt import (
     AlgebraError,
     CyclePolynomial,
+    Edge,
+    Graph,
     GraphError,
     Generator,
+    LeavittAlgebra,
     ReductionWitness,
     ScalarVertex,
     ZeroElementError,
@@ -21,7 +25,10 @@ from leavitt import (
     witness_from_obj,
     witness_to_obj,
 )
-from leavitt.sampling import random_nonzero_element
+import leavitt.reduction
+from leavitt.sampling import line_graph, random_graph, random_nonzero_element
+
+import oracles
 
 
 # ----------------------------------------------------------------------
@@ -112,6 +119,54 @@ def test_reduce_reaches_a_cycle_polynomial(algebras):
     assert wit.outcome.coeffs == ((0, one), (1, one))
     assert verify_witness(x, wit)
     assert outcome_element(T, wit.outcome) == parse_element(T, "v + f")
+
+
+def test_reduce_a_proper_power_of_an_exitless_cycle():
+    g = Graph(
+        ["v", "u", "w"],
+        [Edge("a", "v", "u"), Edge("b", "u", "w"), Edge("c", "w", "v")],
+    )
+    algebra = LeavittAlgebra(g)
+    x = parse_element(algebra, "v + a b c a b c")
+    wit = reduce(x)
+    assert isinstance(wit.outcome, CyclePolynomial)
+    assert wit.outcome.cycle.edges == ("a", "b", "c")
+    assert wit.outcome.coeffs == ((0, 1), (2, 1))
+    assert verify_witness(x, wit)
+
+
+def _exitless_cycle_with_feeders(rng):
+    """A cycle of one to four edges with no exit, plus up to three vertices
+    with random edges into themselves and the cycle, in shuffled order."""
+    k = rng.randint(1, 4)
+    cycle = ["c%d" % i for i in range(k)]
+    feeders = ["f%d" % i for i in range(rng.randint(0, 3))]
+    edges = [Edge("z%d" % i, cycle[i], cycle[(i + 1) % k]) for i in range(k)]
+    for i, f in enumerate(feeders):
+        for j in range(rng.randint(1, 2)):
+            edges.append(Edge("x%d_%d" % (i, j), f, rng.choice(cycle + feeders)))
+    order = cycle + feeders
+    rng.shuffle(order)
+    return Graph(order, edges)
+
+
+def test_exitless_cycles_match_the_walk_oracle():
+    rng = random.Random(83)
+    outcomes = longer = powers = 0
+    for _ in range(300):
+        algebra = LeavittAlgebra(_exitless_cycle_with_feeders(rng))
+        for _ in range(4):
+            x = random_nonzero_element(rng, algebra, max_length=6)
+            wit = reduce(x)
+            assert verify_witness(x, wit)
+            o = wit.outcome
+            if isinstance(o, CyclePolynomial):
+                outcomes += 1
+                longer += len(o.cycle) > 1
+                powers += gcd(*(e for e, _ in o.coeffs)) > 1
+                assert o.cycle == oracles.minimal_cycle_at(algebra.graph, o.vertex)
+    # Cycles longer than one edge, and roots that are proper powers of them.
+    assert outcomes >= 120 and longer >= 40 and powers >= 40
 
 
 def test_reduce_rejects_zero(algebras):
@@ -254,6 +309,72 @@ def test_is_simple(graphs):
     assert not is_simple(graphs["W"])
     assert not is_simple(graphs["T"])
     assert not is_simple(graphs["LS"])
+
+
+def _sinkless(rng):
+    """Up to six vertices, each with one to three out-edges, shuffled."""
+    vs = ["v%d" % i for i in range(1, rng.randint(1, 6) + 1)]
+    edges = [
+        Edge("e%d_%d" % (i, j), v, rng.choice(vs))
+        for i, v in enumerate(vs)
+        for j in range(rng.randint(1, 3))
+    ]
+    rng.shuffle(vs)
+    return Graph(vs, edges)
+
+
+def _several_sinks(rng):
+    """A random graph plus two or three sinks fed by random vertices."""
+    g = random_graph(rng, max_vertices=5, max_edges=8)
+    sinks = ["w%d" % i for i in range(rng.randint(2, 3))]
+    feeds = [
+        Edge("s%d" % i, rng.choice(g.vertices), w)
+        for i, w in enumerate(sinks)
+    ]
+    return Graph(g.vertices + tuple(sinks), g.edges + tuple(feeds))
+
+
+def _one_sink(rng):
+    """Vertices with one or two out-edges each, one of them into the sink."""
+    vs = ["v%d" % i for i in range(1, rng.randint(1, 6) + 1)]
+    edges = [
+        Edge("e%d_%d" % (i, j), v, rng.choice(vs + ["w"]))
+        for i, v in enumerate(vs)
+        for j in range(rng.randint(1, 2))
+    ]
+    order = vs + ["w"]
+    rng.shuffle(order)
+    return Graph(order, edges)
+
+
+def test_is_simple_matches_the_per_vertex_oracle():
+    rng = random.Random(89)
+    families = (random_graph, _sinkless, _several_sinks, _one_sink)
+    simple = 0
+    for i in range(2400):
+        g = families[i % 4](rng)
+        answer = is_simple(g)
+        assert answer == oracles.is_simple(g)
+        simple += answer
+    assert simple >= 300
+
+
+def test_is_simple_takes_one_closure(monkeypatch):
+    rng = random.Random(97)
+    line = line_graph(200)
+    order = list(line.vertices)
+    rng.shuffle(order)
+    g = Graph(order, line.edges)
+    calls = []
+    closure = leavitt.reduction.hereditary_saturated_closure
+
+    def counted(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(leavitt.reduction, "hereditary_saturated_closure", counted)
+    assert is_simple(g)
+    assert len(calls) <= 1
 
 
 def test_vertex_ideal_minimal(graphs):

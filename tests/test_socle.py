@@ -4,6 +4,7 @@ import pytest
 
 from leavitt import (
     CyclicGraphError,
+    GraphError,
     LeavittAlgebra,
     QQ,
     SubsetError,
@@ -26,6 +27,8 @@ from leavitt.sampling import (
     random_graph,
     random_nonzero_element,
 )
+
+import oracles
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +168,8 @@ def test_structure_hedgehog_truncation(graphs):
     assert is_acyclic(hh.graph)
     deeper = socle_structure(graphs["LS"], depth_bound=5)
     assert len(deeper.hedgehog.entry_part) == 5
+    with pytest.raises(GraphError):
+        socle_structure(graphs["LS"], depth_bound=-1)
 
 
 def test_summand_texts_mixes_finite_and_infinite(graphs):
@@ -232,6 +237,19 @@ def test_matrix_rep_is_a_faithful_homomorphism(algebras):
         for _ in range(75):
             x = random_nonzero_element(rng, algebra)
             assert not matrix_rep(x).is_zero
+
+
+def test_matrix_rep_matches_the_all_paths_oracle():
+    rng = random.Random(103)
+    seen = 0
+    while seen < 120:
+        g = random_graph(rng, max_vertices=6, max_edges=9)
+        if not is_acyclic(g):
+            continue
+        seen += 1
+        algebra = LeavittAlgebra(g, QQ)
+        for x in (algebra.one(), random_element(rng, algebra)):
+            assert matrix_rep(x) == oracles.matrix_rep(x)
 
 
 def test_matrix_blocks_refuse_mixed_graphs(algebras):
