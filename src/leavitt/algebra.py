@@ -17,12 +17,20 @@ finitely many steps and two elements are equal in the algebra exactly when
 their normal forms coincide. Confluence of the rewriting (independence from
 the order redexes are picked) is exercised empirically by the test suite.
 
+Normalization picks each redex from a heap, at O(log n) per rewrite step
+for n live redexes, and the sort key of a monomial is computed once and
+stored on it. The step budget is still DEFAULT_STEP_LIMIT. Operations on
+elements of one algebra object never compare graphs, so their cost does
+not depend on the size of the graph.
+
 Coefficients come from leavitt.fields, so everything here is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import count
 from typing import Iterable, Iterator
 
 from .fields import QQ, FieldError
@@ -57,7 +65,7 @@ def special_edges(graph: Graph) -> dict[str, str]:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """A product p q* of a real path and a reversed ghost path.
 
@@ -68,6 +76,14 @@ class Monomial:
 
     real: Path
     ghost: Path
+    # The sort key in the order of _key_graph, stored by
+    # LeavittAlgebra._mono_key on first use; not part of equality or hash.
+    _key: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _key_graph: Graph | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.real.range != self.ghost.range:
@@ -98,7 +114,7 @@ class LeavittAlgebra:
     def __init__(self, graph: Graph, field=QQ):
         self.graph = graph
         self.field = field
-        self._special = special_edges(graph)
+        self._special = frozenset(special_edges(graph).values())
 
     def __repr__(self) -> str:
         return "LeavittAlgebra(%r, %s)" % (self.graph, self.field.name)
@@ -181,12 +197,21 @@ class LeavittAlgebra:
     # ------------------------------------------------------------------
 
     def _mono_key(self, m: Monomial) -> tuple:
-        return (
-            len(m.real) + len(m.ghost),
-            len(m.ghost),
-            self.graph.path_sort_key(m.real),
-            self.graph.path_sort_key(m.ghost),
-        )
+        """Total length, ghost length, then shortlex on p and on q.
+
+        A total order on the monomials of one graph, so distinct monomials
+        never tie. Computed once per monomial and graph, and stored on it.
+        """
+        if m._key_graph is not self.graph:
+            key = (
+                len(m.real) + len(m.ghost),
+                len(m.ghost),
+                self.graph.path_sort_key(m.real),
+                self.graph.path_sort_key(m.ghost),
+            )
+            object.__setattr__(m, "_key", key)
+            object.__setattr__(m, "_key_graph", self.graph)
+        return m._key
 
     def _check_monomial(self, m: Monomial) -> None:
         self.graph.path(m.real.source, m.real.edges)
@@ -196,9 +221,7 @@ class LeavittAlgebra:
         if not m.real.edges or not m.ghost.edges:
             return False
         last = m.real.edges[-1]
-        if last != m.ghost.edges[-1]:
-            return False
-        return self._special[self.graph.edge(last).source] == last
+        return last == m.ghost.edges[-1] and last in self._special
 
     def _rewrite(self, m: Monomial) -> list[tuple[int, Monomial]]:
         """Apply relation (4) at the shared trailing special edge.
@@ -227,45 +250,68 @@ class LeavittAlgebra:
             )
         return out
 
-    def _normalize(self, pairs, strategy, max_steps):
+    def _normalize(self, pairs, strategy, max_steps, check=True):
+        """Rewrite until no redex is left; return sorted terms and steps.
+
+        The redex rewritten next is the least ("min") or greatest ("max")
+        live one by _mono_key, or the one a callable strategy picks from
+        the set of live redexes. The named strategies pop it from a heap
+        with lazy deletion: an entry whose monomial has since cancelled is
+        skipped, so each step costs O(log n), and since the key is a total
+        order the steps are exactly those of scanning the set. With check
+        false the input monomials are trusted to chain, as products of
+        normal forms do.
+        """
+        key = self._mono_key
         if callable(strategy):
-            pick = strategy
+            order = None
         elif strategy == "min":
-            pick = min
+            order = key
         elif strategy == "max":
-            pick = max
+            def order(m: Monomial) -> _Descending:
+                return _Descending(key(m))
         else:
             raise AlgebraError("unknown normalization strategy %r" % strategy)
         terms: dict[Monomial, object] = {}
         reducible: set[Monomial] = set()
+        heap: list = []
+        # Breaks ties between two entries for one monomial, which it gets
+        # when it cancels and comes back; monomials are never compared.
+        tick = count()
 
         def acc(m: Monomial, c) -> None:
             cur = terms.get(m)
             total = c if cur is None else cur + c
             if total:
                 terms[m] = total
-                if self._is_reducible(m):
+                if cur is None and self._is_reducible(m):
                     reducible.add(m)
-            else:
-                terms.pop(m, None)
+                    if order is not None:
+                        heappush(heap, (order(m), next(tick), m))
+            elif cur is not None:
+                del terms[m]
                 reducible.discard(m)
 
         for coeff, m in pairs:
-            self._check_monomial(m)
+            if check:
+                self._check_monomial(m)
             acc(m, self.field.coerce(coeff))
         steps = 0
         while reducible:
+            if order is None:
+                m = strategy(reducible, key=key)
+            else:
+                m = heappop(heap)[2]
+                if m not in reducible:
+                    continue
             if steps >= max_steps:
                 raise AlgebraError("normalization exceeded %d steps" % max_steps)
-            m = pick(reducible, key=self._mono_key)
             reducible.discard(m)
             c = terms.pop(m)
             for sign, piece in self._rewrite(m):
                 acc(piece, c if sign > 0 else -c)
             steps += 1
-        ordered = tuple(
-            sorted(terms.items(), key=lambda kv: self._mono_key(kv[0]))
-        )
+        ordered = tuple(sorted(terms.items(), key=lambda kv: key(kv[0])))
         return ordered, steps
 
     # ------------------------------------------------------------------
@@ -392,6 +438,21 @@ class LeavittAlgebra:
         )
 
 
+class _Descending:
+    """A heap entry key that sorts in reverse, for the "max" strategy."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: tuple):
+        self.key = key
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+    def __lt__(self, other: "_Descending") -> bool:
+        return other.key < self.key
+
+
 @dataclass(frozen=True)
 class RelationsReport:
     counts: tuple[tuple[str, int], ...]
@@ -477,8 +538,11 @@ class Element:
     # arithmetic
     # ------------------------------------------------------------------
 
+    def _same_algebra(self, other: "Element") -> bool:
+        return self.algebra is other.algebra or self.algebra == other.algebra
+
     def _require_same(self, other: "Element") -> None:
-        if self.algebra != other.algebra:
+        if not self._same_algebra(other):
             raise MixedContextError(
                 "elements live in different algebras (graph or field differ)"
             )
@@ -486,7 +550,7 @@ class Element:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.algebra == other.algebra and self._terms == other._terms
+        return self._same_algebra(other) and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash((self.algebra, self._terms))
@@ -504,9 +568,8 @@ class Element:
                 merged[m] = total
             else:
                 merged.pop(m, None)
-        ordered = tuple(
-            sorted(merged.items(), key=lambda kv: self.algebra._mono_key(kv[0]))
-        )
+        key = self.algebra._mono_key
+        ordered = tuple(sorted(merged.items(), key=lambda kv: key(kv[0])))
         return Element(self.algebra, ordered)
 
     def __neg__(self) -> "Element":
@@ -532,7 +595,11 @@ class Element:
                     prod = self.algebra._mono_mul_raw(m1, m2)
                     if prod is not None:
                         raw.append((c1 * c2, prod))
-            return self.algebra.normal_form(raw)
+            # Products of normal-form monomials chain by construction.
+            terms, _ = self.algebra._normalize(
+                raw, "min", DEFAULT_STEP_LIMIT, check=False
+            )
+            return Element(self.algebra, terms)
         try:
             return self._scaled(other)
         except FieldError:

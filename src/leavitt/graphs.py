@@ -83,7 +83,7 @@ class Path:
 class Graph:
     """An immutable finite directed graph with named vertices and edges."""
 
-    __slots__ = ("vertices", "edges", "_vindex", "_eindex", "_out", "_in")
+    __slots__ = ("vertices", "edges", "_vindex", "_eindex", "_out", "_in", "_hash")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge] = ()):
         self.vertices = tuple(vertices)
@@ -116,6 +116,7 @@ class Graph:
             inn[e.range].append(e)
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in = {v: tuple(es) for v, es in inn.items()}
+        self._hash: int | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -125,7 +126,11 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
+        # Computed once, on first use: algebras and elements hash through
+        # their graph.
+        if self._hash is None:
+            self._hash = hash((self.vertices, self.edges))
+        return self._hash
 
     def __repr__(self) -> str:
         return "Graph(%d vertices, %d edges)" % (len(self.vertices), len(self.edges))

@@ -5,19 +5,24 @@ import pytest
 
 from leavitt import (
     AlgebraError,
+    Graph,
+    GraphError,
     LeavittAlgebra,
     MixedContextError,
     Monomial,
+    Path,
     PrimeField,
     ZeroElementError,
     parse_element,
     special_edges,
 )
 from leavitt.sampling import (
+    line_graph,
     random_element,
     random_graph,
     random_nonzero_element,
     random_raw_terms,
+    rose,
 )
 
 import oracles
@@ -139,6 +144,15 @@ def test_mixed_algebras_are_rejected(algebras, graphs):
     gf = LeavittAlgebra(graphs["W"], PrimeField(3))
     with pytest.raises(MixedContextError):
         gf.vertex("v") + W.vertex("v")
+    # An equal but distinct graph hashes equal, and its algebra mixes.
+    g2 = Graph(W.graph.vertices, W.graph.edges)
+    assert g2 is not W.graph and g2 == W.graph and hash(g2) == hash(W.graph)
+    W2 = LeavittAlgebra(g2)
+    assert hash(W2) == hash(W) and hash(W2.edge("e")) == hash(W.edge("e"))
+    assert W.edge("e") + W2.ghost("e") == W.edge("e") + W.ghost("e")
+    assert W.edge("e") * W2.ghost("e") == parse_element(W, "z - f f^*")
+    with pytest.raises(MixedContextError):
+        LeavittAlgebra(g2, PrimeField(3)).vertex("v") * W.vertex("v")
 
 
 def test_grading(algebras):
@@ -281,6 +295,66 @@ def test_normal_form_strategies_agree(algebras):
             assert nf_min == nf_max == nf_rand
 
 
+def _scan_min(monos, key):
+    return min(monos, key=key)
+
+
+def _scan_max(monos, key):
+    return max(monos, key=key)
+
+
+def _cuntz_sum(algebra, k):
+    """The raw sum of w w* over the words w of length k on a rose."""
+    g = algebra.graph
+    words = [()]
+    for _ in range(k):
+        words = [w + (e.name,) for w in words for e in g.edges]
+    return [(1, Monomial(g.path("v", w), g.path("v", w))) for w in words]
+
+
+def test_heap_pops_in_scan_order(algebras):
+    algebra = LeavittAlgebra(rose(3))
+    x, steps = algebra.normal_form_steps(_cuntz_sum(algebra, 8))
+    assert (str(x), steps) == ("1*v", 3280)
+    # The raw sums of test_normal_form_strategies_agree, drawn in its order.
+    rng = random.Random(61)
+    samples = []
+    for algebra in algebras.values():
+        for _ in range(40):
+            samples.append((algebra, random_raw_terms(rng, algebra)))
+            rng.randrange(1 << 30)
+    for petals, k in ((2, 6), (3, 5), (4, 4)):
+        algebra = LeavittAlgebra(rose(petals))
+        samples.append((algebra, _cuntz_sum(algebra, k)))
+    for algebra, pairs in samples:
+        for name, scan in (("min", _scan_min), ("max", _scan_max)):
+            assert algebra.normal_form_steps(pairs, strategy=name) == (
+                algebra.normal_form_steps(pairs, strategy=scan)
+            )
+
+
+def test_element_operations_compare_no_graphs(monkeypatch):
+    calls = []
+    compare = Graph.__eq__
+
+    def counted(self, other):
+        calls.append(1)
+        return compare(self, other)
+
+    monkeypatch.setattr(Graph, "__eq__", counted)
+    g = line_graph(10 ** 4)
+    A = LeavittAlgebra(g)
+    x, y = A.edge("e1") + A.vertex("v9999"), A.ghost("e1")
+    calls.clear()
+    assert x + y != x * y
+    assert x * y == A.path_element(g.path("v1", ["e1"])) * y
+    assert calls == []
+    # The counter sees the comparison an equal but distinct algebra needs.
+    other = LeavittAlgebra(g)
+    assert x + other.ghost("e1") == x + y
+    assert calls
+
+
 def test_normal_form_rejects_unknown_strategy(algebras):
     with pytest.raises(AlgebraError):
         algebras["W"].normal_form((), strategy="sideways")
@@ -314,6 +388,15 @@ def test_element_construction_validates_paths(algebras):
     bad = Monomial(T.graph.path("u", ["e"]), T.graph.path("u", ["e"]))
     with pytest.raises(Exception):
         W.element(((1, bad),))
+    # Edges that do not chain: b leaves v2, not v1, though the ranges agree.
+    L3 = algebras["L3"]
+    real, ghost = Path("v1", ("b",), "v3"), L3.graph.trivial_path("v3")
+    with pytest.raises(GraphError):
+        L3.normal_form(((1, Monomial(real, ghost)),))
+    with pytest.raises(GraphError):
+        L3.element(((1, Monomial(ghost, real)),))
+    with pytest.raises(GraphError):
+        L3.monomial(real, ghost)
 
 
 def test_step_limit_guard(graphs):
