@@ -15,13 +15,14 @@ Relation (4), applied at that distinguished edge, rewrites any offending
 monomial into strictly smaller material, so the normal form is reached in
 finitely many steps and two elements are equal in the algebra exactly when
 their normal forms coincide. Confluence of the rewriting (independence from
-the order redexes are picked) is exercised empirically by the test suite.
+the order redexes are picked) is exercised empirically by the test suite,
+against a scanning normalizer that may pick them in any order.
 
-Normalization picks each redex from a heap, at O(log n) per rewrite step
-for n live redexes, and the sort key of a monomial is computed once and
-stored on it. The step budget is still DEFAULT_STEP_LIMIT. Operations on
-elements of one algebra object never compare graphs, so their cost does
-not depend on the size of the graph.
+Normalization always rewrites the least live redex first, popping it from a
+heap at O(log n) per rewrite step for n live redexes; the sort key of a
+monomial is computed once and stored on it. The step budget is
+DEFAULT_STEP_LIMIT. Operations on elements of one algebra object never
+compare graphs, so their cost does not depend on the size of the graph.
 
 Coefficients come from leavitt.fields, so everything here is exact.
 """
@@ -178,18 +179,16 @@ class LeavittAlgebra:
     def normal_form(
         self,
         pairs: Iterable[tuple[object, Monomial]],
-        strategy: str = "min",
         max_steps: int = DEFAULT_STEP_LIMIT,
     ) -> "Element":
-        return self.normal_form_steps(pairs, strategy, max_steps)[0]
+        return self.normal_form_steps(pairs, max_steps)[0]
 
     def normal_form_steps(
         self,
         pairs: Iterable[tuple[object, Monomial]],
-        strategy: str = "min",
         max_steps: int = DEFAULT_STEP_LIMIT,
     ) -> tuple["Element", int]:
-        terms, steps = self._normalize(pairs, strategy, max_steps)
+        terms, steps = self._normalize(pairs, max_steps)
         return Element(self, terms), steps
 
     # ------------------------------------------------------------------
@@ -250,30 +249,17 @@ class LeavittAlgebra:
             )
         return out
 
-    def _normalize(self, pairs, strategy, max_steps, check=True):
+    def _normalize(self, pairs, max_steps, check=True):
         """Rewrite until no redex is left; return sorted terms and steps.
 
-        The redex rewritten next is the least ("min") or greatest ("max")
-        live one by _mono_key, or the one a callable strategy picks from
-        the set of live redexes. The named strategies pop it from a heap
-        with lazy deletion: an entry whose monomial has since cancelled is
-        skipped, so each step costs O(log n), and since the key is a total
-        order the steps are exactly those of scanning the set. With check
-        false the input monomials are trusted to chain, as products of
-        normal forms do.
+        The redex rewritten next is always the least live one by _mono_key.
+        It is popped from a heap with lazy deletion: an entry whose monomial
+        has since cancelled, or was rewritten already, is skipped, so each
+        step costs O(log n). With check false the input monomials are
+        trusted to chain, as products of normal forms do.
         """
         key = self._mono_key
-        if callable(strategy):
-            order = None
-        elif strategy == "min":
-            order = key
-        elif strategy == "max":
-            def order(m: Monomial) -> _Descending:
-                return _Descending(key(m))
-        else:
-            raise AlgebraError("unknown normalization strategy %r" % strategy)
         terms: dict[Monomial, object] = {}
-        reducible: set[Monomial] = set()
         heap: list = []
         # Breaks ties between two entries for one monomial, which it gets
         # when it cancels and comes back; monomials are never compared.
@@ -285,29 +271,23 @@ class LeavittAlgebra:
             if total:
                 terms[m] = total
                 if cur is None and self._is_reducible(m):
-                    reducible.add(m)
-                    if order is not None:
-                        heappush(heap, (order(m), next(tick), m))
+                    heappush(heap, (key(m), next(tick), m))
             elif cur is not None:
                 del terms[m]
-                reducible.discard(m)
 
         for coeff, m in pairs:
             if check:
                 self._check_monomial(m)
             acc(m, self.field.coerce(coeff))
         steps = 0
-        while reducible:
-            if order is None:
-                m = strategy(reducible, key=key)
-            else:
-                m = heappop(heap)[2]
-                if m not in reducible:
-                    continue
+        while heap:
+            m = heappop(heap)[2]
+            # Only redexes are pushed, so a live entry is a live redex.
+            c = terms.pop(m, None)
+            if c is None:
+                continue
             if steps >= max_steps:
                 raise AlgebraError("normalization exceeded %d steps" % max_steps)
-            reducible.discard(m)
-            c = terms.pop(m)
             for sign, piece in self._rewrite(m):
                 acc(piece, c if sign > 0 else -c)
             steps += 1
@@ -436,21 +416,6 @@ class LeavittAlgebra:
             failures=tuple(failures),
             passed=not failures,
         )
-
-
-class _Descending:
-    """A heap entry key that sorts in reverse, for the "max" strategy."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: tuple):
-        self.key = key
-
-    def __eq__(self, other) -> bool:
-        return self.key == other.key
-
-    def __lt__(self, other: "_Descending") -> bool:
-        return other.key < self.key
 
 
 @dataclass(frozen=True)
@@ -597,7 +562,7 @@ class Element:
                         raw.append((c1 * c2, prod))
             # Products of normal-form monomials chain by construction.
             terms, _ = self.algebra._normalize(
-                raw, "min", DEFAULT_STEP_LIMIT, check=False
+                raw, DEFAULT_STEP_LIMIT, check=False
             )
             return Element(self.algebra, terms)
         try:

@@ -42,8 +42,16 @@ from .socle import SocleReport, in_socle, socle_structure
 
 
 def _load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = exc.start
+        raise GraphParseError(
+            "graph file is not UTF-8: byte %d is 0x%02x" % (bad, data[bad])
+        ) from None
+    return parse_graph(text)
 
 
 def _depth_bound(text: str) -> int:
@@ -122,7 +130,8 @@ def _report_obj(report: SocleReport) -> dict:
 
 def _cmd_socle(args) -> int:
     graph = _load_graph(args.graph)
-    report = socle_structure(graph, args.depth)
+    # Nothing printed here reads the hedgehog, so it gets no spines.
+    report = socle_structure(graph, 0)
     if args.format == "json":
         _print_json(_report_obj(report))
     else:
@@ -193,10 +202,11 @@ def _cmd_reduce(args) -> int:
         if isinstance(witness.outcome, ScalarVertex)
         else "cycle-polynomial"
     )
+    outcome = str(outcome_element(algebra, witness.outcome))
     print(("left: " + " ".join(g.text() for g in witness.left)).rstrip())
     print(("right: " + " ".join(g.text() for g in witness.right)).rstrip())
     print("outcome kind: " + kind)
-    print("outcome: %s" % outcome_element(algebra, witness.outcome))
+    print("outcome: " + outcome)
     print("verified: " + _bool_text(verified))
     return 0
 
@@ -352,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         _cmd_closure,
         vertex_set=True,
     )
-    add("socle", "socle report: generators and matricial summands", _cmd_socle,
-        depth=True)
+    add("socle", "socle report: generators and matricial summands", _cmd_socle)
     add(
         "structure",
         "full socle report including the hedgehog graph",

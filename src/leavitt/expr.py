@@ -191,9 +191,18 @@ class _Parser:
             return self.algebra.edge(name)
         raise ExprParseError("unknown name %r" % name, pos)
 
+    def _int(self, tok: tuple[str, str, int]) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:
+            # Python caps decimal conversion at sys.get_int_max_str_digits().
+            raise ExprParseError(
+                "integer of %d digits is too long" % len(tok[1]), tok[2]
+            ) from None
+
     def parse_scalar(self):
         tok = self._take()
-        num = int(tok[1])
+        num = self._int(tok)
         pos = tok[2]
         nxt = self._peek()
         if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
@@ -202,7 +211,7 @@ class _Parser:
             if den_tok[0] != "int":
                 raise ExprParseError("expected an integer denominator", den_tok[2])
             try:
-                return self.algebra.field.from_pair(num, int(den_tok[1]))
+                return self.algebra.field.from_pair(num, self._int(den_tok))
             except FieldError as exc:
                 raise ExprParseError(str(exc), pos) from exc
         return self.algebra.field.from_int(num)

@@ -134,7 +134,11 @@ class RationalField:
         raise FieldError("cannot coerce %r into the rationals" % (value,))
 
     def render(self, value: Fraction) -> str:
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:
+            # Python caps decimal conversion at sys.get_int_max_str_digits().
+            raise FieldError("rational scalar too long to print") from None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)

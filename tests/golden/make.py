@@ -14,8 +14,12 @@ The inputs are the five test fixtures and 40 seeded random graphs. Each
 graph gets `simple`, `minimal` at its first and last vertex, and `eval`,
 `reduce`, `nondegen` and `member` on one seeded element, text and JSON,
 over Q and GF(5); the fixtures get two fixed expressions instead,
-`check`, and four runs that end in an error. Regenerate only when an output is meant to change, and record
-which lines changed and why.
+`check`, and four runs that end in an error. After those, each graph gets
+`socle`, `linepoints` and `closure` of one seeded vertex set, text and
+JSON, and `structure` as text, JSON and DOT at `--depth 0`, `--depth 2` and
+the default depth, where no corpus graph's hedgehog has more than 230 spines.
+Regenerate only when an output is meant to change, and record which lines
+changed and why.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def commands(text: str, exprs, check: bool):
+def commands(text: str, exprs, check: bool, vertex_set: str):
     """The argument lists run on one graph, GRAPH standing for its file."""
     graph = parse_graph(text)
     for fmt in FORMATS:
@@ -88,6 +92,13 @@ def commands(text: str, exprs, check: bool):
                 yield ["check", "GRAPH", "--field", field, "--format", fmt]
                 for argv in ERROR_RUNS:
                     yield argv + ["--field", field, "--format", fmt]
+    for fmt in FORMATS:
+        yield ["socle", "GRAPH", "--format", fmt]
+        yield ["linepoints", "GRAPH", "--format", fmt]
+        yield ["closure", "GRAPH", "--set", vertex_set, "--format", fmt]
+    for depth in (["--depth", "0"], ["--depth", "2"], []):
+        for fmt in FORMATS + ("dot",):
+            yield ["structure", "GRAPH", *depth, "--format", fmt]
 
 
 def inputs():
@@ -104,12 +115,17 @@ def inputs():
 
 
 def records(directory: str):
+    # A stream of its own, so that drawing the sets moves none of the
+    # graphs and elements that inputs() draws.
+    sets = random.Random(SEED + 1)
     for name, text, exprs, check in inputs():
         path = os.path.join(directory, name + ".graph")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         yield {"name": name, "graph": text}
-        for argv in commands(text, exprs, check):
+        vertices = parse_graph(text).vertices
+        picked = sets.sample(vertices, sets.randint(1, min(2, len(vertices))))
+        for argv in commands(text, exprs, check, ",".join(picked)):
             code, out, err = run([path if a == "GRAPH" else a for a in argv])
             yield {"name": name, "argv": argv, "exit": code,
                    "stdout": out, "stderr": err}

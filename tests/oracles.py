@@ -3,8 +3,9 @@
 Each function follows the definition it implements as directly as it can:
 trees are recomputed per vertex, cycles are enumerated one by one, the
 closure is iterated to a fixpoint and taken once per vertex for simplicity,
-and paths are listed from every vertex. They are exponential or polynomial
-of high degree, so tests run them on small graphs only.
+paths are listed from every vertex, and normalization scans its live
+redexes on every step. They are exponential or polynomial of high degree,
+so tests run them on small inputs only.
 """
 
 from __future__ import annotations
@@ -266,3 +267,42 @@ def corner_basis(
             key=algebra._mono_key,
         )
     )
+
+
+def normal_form_steps(
+    algebra: LeavittAlgebra, pairs, pick
+) -> tuple[Element, int]:
+    """Normalize by rewriting, each step, the live redex that
+    pick(redexes, key=algebra._mono_key) returns; give the normal form and
+    the number of rewrite steps.
+
+    Rewriting goes through the library's relation (4), so with pick=min
+    this takes the steps the library's heap takes, and with any other pick
+    it reaches the same normal form when the rewriting is confluent.
+    """
+    terms: dict[Monomial, object] = {}
+    redexes: set[Monomial] = set()
+
+    def acc(m: Monomial, c) -> None:
+        total = terms.get(m, algebra.field.zero()) + c
+        if total:
+            terms[m] = total
+            if algebra._is_reducible(m):
+                redexes.add(m)
+        else:
+            terms.pop(m, None)
+            redexes.discard(m)
+
+    for coeff, m in pairs:
+        algebra._check_monomial(m)
+        acc(m, algebra.field.coerce(coeff))
+    steps = 0
+    while redexes:
+        m = pick(redexes, key=algebra._mono_key)
+        redexes.discard(m)
+        c = terms.pop(m)
+        for sign, piece in algebra._rewrite(m):
+            acc(piece, c if sign > 0 else -c)
+        steps += 1
+    ordered = sorted(terms.items(), key=lambda kv: algebra._mono_key(kv[0]))
+    return Element(algebra, tuple(ordered)), steps

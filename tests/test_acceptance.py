@@ -38,6 +38,8 @@ from leavitt.sampling import (
     rose_with_tail,
 )
 
+import oracles
+
 
 def criterion(number, label):
     def deco(fn):
@@ -168,9 +170,10 @@ def test_hedgehog_acyclicity():
         g = random_graph(rng)
         if not line_points(g):
             continue
-        report = socle_structure(g)
-        assert report.hedgehog is not None
-        assert is_acyclic(report.hedgehog.graph)
+        for depth in (None, 0, 1, 2):
+            report = socle_structure(g, depth)
+            assert report.hedgehog is not None
+            assert is_acyclic(report.hedgehog.graph)
 
 
 @criterion(11, "simplicity-decisions")
@@ -205,6 +208,6 @@ def test_normalization_confluence(algebras):
             def pick(monos, key):
                 return picker.choice(sorted(monos, key=key))
 
-            ordered = algebra.normal_form(pairs, strategy="min")
-            scrambled = algebra.normal_form(pairs, strategy=pick)
+            ordered = algebra.normal_form(pairs)
+            scrambled, _ = oracles.normal_form_steps(algebra, pairs, pick)
             assert ordered == scrambled

@@ -284,23 +284,15 @@ def test_normal_form_strategies_agree(algebras):
     for algebra in algebras.values():
         for _ in range(40):
             pairs = random_raw_terms(rng, algebra)
-            nf_min = algebra.normal_form(pairs, strategy="min")
-            nf_max = algebra.normal_form(pairs, strategy="max")
+            nf = algebra.normal_form(pairs)
+            nf_max, _ = oracles.normal_form_steps(algebra, pairs, max)
             picker = random.Random(rng.randrange(1 << 30))
 
             def pick(monos, key):
                 return picker.choice(sorted(monos, key=key))
 
-            nf_rand = algebra.normal_form(pairs, strategy=pick)
-            assert nf_min == nf_max == nf_rand
-
-
-def _scan_min(monos, key):
-    return min(monos, key=key)
-
-
-def _scan_max(monos, key):
-    return max(monos, key=key)
+            nf_rand, _ = oracles.normal_form_steps(algebra, pairs, pick)
+            assert nf == nf_max == nf_rand
 
 
 def _cuntz_sum(algebra, k):
@@ -327,10 +319,9 @@ def test_heap_pops_in_scan_order(algebras):
         algebra = LeavittAlgebra(rose(petals))
         samples.append((algebra, _cuntz_sum(algebra, k)))
     for algebra, pairs in samples:
-        for name, scan in (("min", _scan_min), ("max", _scan_max)):
-            assert algebra.normal_form_steps(pairs, strategy=name) == (
-                algebra.normal_form_steps(pairs, strategy=scan)
-            )
+        assert algebra.normal_form_steps(pairs) == (
+            oracles.normal_form_steps(algebra, pairs, min)
+        )
 
 
 def test_element_operations_compare_no_graphs(monkeypatch):
@@ -353,11 +344,6 @@ def test_element_operations_compare_no_graphs(monkeypatch):
     other = LeavittAlgebra(g)
     assert x + other.ghost("e1") == x + y
     assert calls
-
-
-def test_normal_form_rejects_unknown_strategy(algebras):
-    with pytest.raises(AlgebraError):
-        algebras["W"].normal_form((), strategy="sideways")
 
 
 def test_normal_form_step_bound(algebras):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import leavitt
+import leavitt.graphs as graphs_module
 from leavitt.cli import main
 
 
@@ -257,6 +258,40 @@ def test_depth_must_be_nonnegative(capsys, tmp_path):
         assert (rc, out) == (2, "") and "--depth" in err
     rc, out, _ = run(capsys, "structure", str(path), "--depth", "0")
     assert rc == 0 and "hedgehog complete: false" in out.splitlines()
+    # socle prints nothing that depends on the hedgehog, so it takes no depth.
+    rc, out, err = run(capsys, "socle", str(path), "--depth", "2")
+    assert (rc, out) == (2, "") and "--depth" in err
+
+
+def test_socle_enumerates_no_spines(capsys, tmp_path, monkeypatch):
+    """K6 with loops plus a sink has 335,923 entry paths at the default
+    depth; socle asks for none longer than one edge."""
+    names = ["k%d" % i for i in range(6)]
+    path = tmp_path / "k6.graph"
+    path.write_text(
+        "vertices: %s s\n" % " ".join(names)
+        + "".join("edge %s_%s: %s -> %s\n" % (u, v, u, v) for u in names for v in names)
+        + "edge out: k0 -> s\n",
+        encoding="utf-8",
+    )
+    asked = []
+    entry_paths = graphs_module.entry_paths
+
+    def recorded(graph, subset, max_length):
+        asked.append(max_length)
+        return entry_paths(graph, subset, max_length)
+
+    monkeypatch.setattr(graphs_module, "entry_paths", recorded)
+    rc, out, _ = run(capsys, "socle", str(path))
+    assert (rc, out) == (0, (
+        "line points: s\n"
+        "closure: s\n"
+        "summands: inf\n"
+        "socle is whole: false\n"
+    ))
+    rc, out, _ = run(capsys, "socle", str(path), "--format", "json")
+    assert rc == 0 and json.loads(out)["summands"] == ["inf"]
+    assert asked and max(asked) <= 1
 
 
 def test_output_is_deterministic(capsys, write_graph):
@@ -292,3 +327,26 @@ def test_eval_rejects_deep_nesting(capsys, write_graph):
     rc, out, err = run(capsys, "eval", write_graph("W"), "--expr", deep)
     assert (rc, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_overlong_integers_are_errors(capsys, write_graph):
+    path = write_graph("W")
+    digits = "9" * 5000
+    for expr in (digits, "1/" + digits, digits + "/1 v"):
+        rc, out, err = run(capsys, "eval", path, "--expr=" + expr)
+        assert (rc, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "5000 digits" in err
+    # Each factor parses, but their product has too many digits to print.
+    half = "9" * 2200
+    for command in ("eval", "reduce"):
+        rc, out, err = run(capsys, command, path, "--expr=(%s v)(%s v)" % (half, half))
+        assert (rc, out) == (1, "")
+        assert err == "error: rational scalar too long to print\n"
+
+
+def test_graph_file_must_be_utf8(capsys, tmp_path):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"vertices: a \xff\xfe\n")
+    rc, out, err = run(capsys, "socle", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: graph file is not UTF-8: byte 12 is 0xff\n"

@@ -6,6 +6,8 @@ from leavitt import (
     CyclicGraphError,
     GraphError,
     LeavittAlgebra,
+    MixedContextError,
+    PrimeField,
     QQ,
     SubsetError,
     in_socle,
@@ -14,6 +16,7 @@ from leavitt import (
     line_points,
     matrix_rep,
     parse_element,
+    parse_graph,
     quotient_graph,
     quotient_image,
     socle_equals_algebra,
@@ -88,6 +91,23 @@ def test_quotient_image_rejects_bad_subsets(algebras):
         quotient_image(algebras["W"].vertex("v"), {"z"})
     with pytest.raises(SubsetError):
         quotient_image(algebras["R2"].vertex("v"), {"v"})
+
+
+def test_quotient_image_checks_the_subset_given_a_target():
+    A = LeavittAlgebra(parse_graph("vertices: a b c\nedge x: a -> b\nedge y: b -> c\n"))
+    T = LeavittAlgebra(parse_graph("vertices: a b\nedge x: a -> b\n"))
+    x = A.vertex("a") + A.edge("x")
+    for target in (None, T):
+        with pytest.raises(SubsetError, match="not hereditary"):
+            quotient_image(x, {"b"}, target)
+
+
+def test_quotient_image_rejects_a_target_over_another_quotient(algebras):
+    LS = algebras["LS"]
+    quotient = quotient_graph(LS.graph, {"v"})
+    for wrong in (LeavittAlgebra(quotient, PrimeField(3)), LS, algebras["R2"]):
+        with pytest.raises(MixedContextError):
+            quotient_image(LS.vertex("u"), {"v"}, wrong)
 
 
 def test_in_socle_examples(algebras):
