@@ -459,15 +459,6 @@ class Element:
         """No ghost part anywhere: a combination of plain paths."""
         return all(m.ghost.is_trivial for m, _ in self._terms)
 
-    def support(self) -> tuple[Monomial, ...]:
-        return tuple(m for m, _ in self._terms)
-
-    def coefficient(self, m: Monomial):
-        for mono, c in self._terms:
-            if mono == m:
-                return c
-        return self.algebra.field.zero()
-
     def degree(self) -> int:
         """The top degree with a nonzero coefficient."""
         if not self._terms:

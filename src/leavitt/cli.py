@@ -5,6 +5,12 @@ relevant, an element expression. Output is deterministic text by default;
 `--format json` emits a versioned object, and the graph-shaped results also
 speak DOT. Exit status: 0 for a computed answer (including a false one), 1
 for a domain error in the input, 2 for usage or syntax errors.
+
+Handlers compute and return; they never print. `main` loads the graph,
+calls the handler and prints its whole answer only after it has been
+computed, so a run that exits 1 or 2 writes nothing to stdout. The one
+exception is `check`, which prints its report and then exits 1 when a
+recheck failed.
 """
 
 from __future__ import annotations
@@ -13,8 +19,9 @@ import argparse
 import json
 import random
 import sys
+from typing import NamedTuple
 
-from .algebra import AlgebraError, LeavittAlgebra
+from .algebra import AlgebraError, Element, LeavittAlgebra
 from .expr import ExprParseError, parse_element
 from .fields import QQ, FieldError, field_from_selector
 from .graphs import (
@@ -65,202 +72,157 @@ def _depth_bound(text: str) -> int:
     return depth
 
 
-def _print_json(obj: dict) -> None:
-    payload = {"schema": 1}
-    payload.update(obj)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+class Answer(NamedTuple):
+    """A command's answer: the JSON object (without "schema"), the text
+    lines, and the exit status."""
+
+    obj: dict
+    lines: list[str]
+    status: int = 0
 
 
 def _bool_text(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _answer(args, value: bool) -> int:
-    if args.format == "json":
-        _print_json({"answer": value})
-    else:
-        print(_bool_text(value))
-    return 0
+def _words(label: str, words) -> str:
+    return (label + ": " + " ".join(words)).rstrip()
 
 
-def _names(args, label: str, names) -> int:
+def _decision(value: bool) -> Answer:
+    return Answer({"answer": value}, [_bool_text(value)])
+
+
+def _names(label: str, names) -> Answer:
     names = list(names)
-    if args.format == "json":
-        _print_json({label: names})
-    else:
-        print(" ".join(names))
-    return 0
+    return Answer({label: names}, [" ".join(names)])
+
+
+def _element(graph: Graph, args) -> Element:
+    """The element that --expr names, over --field."""
+    return parse_element(LeavittAlgebra(graph, args.field), args.expr)
+
+
+def _report(report: SocleReport) -> Answer:
+    """The socle report that socle and structure share."""
+    return Answer(
+        {
+            "line_points": list(report.line_points),
+            "closure_h": list(report.closure_h),
+            "summands": ["inf" if n is None else n for n in report.summands],
+            "socle_is_whole": report.socle_is_whole,
+        },
+        [
+            _words("line points", report.line_points),
+            _words("closure", report.closure_h),
+            _words("summands", report.summand_texts()),
+            "socle is whole: " + _bool_text(report.socle_is_whole),
+        ],
+    )
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each takes the graph and the parsed arguments and
+# returns an Answer, or DOT text
 # ----------------------------------------------------------------------
 
-def _cmd_linepoints(args) -> int:
-    graph = _load_graph(args.graph)
-    return _names(args, "line_points", line_points(graph))
+def _cmd_linepoints(graph: Graph, args) -> Answer:
+    return _names("line_points", line_points(graph))
 
 
-def _cmd_closure(args) -> int:
-    graph = _load_graph(args.graph)
+def _cmd_closure(graph: Graph, args) -> Answer:
     seeds = [s.strip() for s in args.set.split(",") if s.strip()]
     closure = hereditary_saturated_closure(graph, seeds)
-    return _names(args, "closure", graph.sorted_vertices(closure))
+    return _names("closure", graph.sorted_vertices(closure))
 
 
-def _report_lines(report: SocleReport) -> list[str]:
-    return [
-        ("line points: " + " ".join(report.line_points)).rstrip(),
-        ("closure: " + " ".join(report.closure_h)).rstrip(),
-        ("summands: " + " ".join(report.summand_texts())).rstrip(),
-        "socle is whole: " + _bool_text(report.socle_is_whole),
-    ]
+def _cmd_socle(graph: Graph, args) -> Answer:
+    # Nothing in the answer reads the hedgehog, so it gets no spines.
+    return _report(socle_structure(graph, 0))
 
 
-def _report_obj(report: SocleReport) -> dict:
-    return {
-        "line_points": list(report.line_points),
-        "closure_h": list(report.closure_h),
-        "summands": [
-            "inf" if n is None else n for n in report.summands
-        ],
-        "socle_is_whole": report.socle_is_whole,
-    }
-
-
-def _cmd_socle(args) -> int:
-    graph = _load_graph(args.graph)
-    # Nothing printed here reads the hedgehog, so it gets no spines.
-    report = socle_structure(graph, 0)
-    if args.format == "json":
-        _print_json(_report_obj(report))
-    else:
-        for line in _report_lines(report):
-            print(line)
-    return 0
-
-
-def _cmd_structure(args) -> int:
-    graph = _load_graph(args.graph)
+def _cmd_structure(graph: Graph, args) -> Answer | str:
     report = socle_structure(graph, args.depth)
     hh = report.hedgehog
     if args.format == "dot":
         if hh is None:
             raise SubsetError("the socle is zero; there is no hedgehog graph")
-        print(to_dot(hh.graph), end="")
-        return 0
-    if args.format == "json":
-        obj = _report_obj(report)
-        if hh is None:
-            obj["hedgehog"] = None
-        else:
-            obj["hedgehog"] = {
-                "complete": hh.complete,
-                "blocking_cycle": (
-                    None if hh.blocking_cycle is None
-                    else list(hh.blocking_cycle.edges)
-                ),
-                "ideal_part": list(hh.ideal_part),
-                "entry_part": list(hh.entry_part),
-                "vertices": list(hh.graph.vertices),
-                "edges": [[e.name, e.source, e.range] for e in hh.graph.edges],
-            }
-        _print_json(obj)
-        return 0
-    lines = _report_lines(report)
+        return to_dot(hh.graph)
+    answer = _report(report)
     if hh is None:
-        lines.append("hedgehog: none")
-    else:
-        lines.append("hedgehog complete: " + _bool_text(hh.complete))
-        if hh.blocking_cycle is not None:
-            lines.append(
-                "hedgehog blocking cycle: " + " ".join(hh.blocking_cycle.edges)
-            )
-        lines.append(
-            ("hedgehog ideal part: " + " ".join(hh.ideal_part)).rstrip()
-        )
-        lines.append(
-            ("hedgehog entry part: " + " ".join(hh.entry_part)).rstrip()
-        )
-    for line in lines:
-        print(line)
-    return 0
+        answer.obj["hedgehog"] = None
+        answer.lines.append("hedgehog: none")
+        return answer
+    cycle = None if hh.blocking_cycle is None else list(hh.blocking_cycle.edges)
+    answer.obj["hedgehog"] = {
+        "complete": hh.complete,
+        "blocking_cycle": cycle,
+        "ideal_part": list(hh.ideal_part),
+        "entry_part": list(hh.entry_part),
+        "vertices": list(hh.graph.vertices),
+        "edges": [[e.name, e.source, e.range] for e in hh.graph.edges],
+    }
+    answer.lines.append("hedgehog complete: " + _bool_text(hh.complete))
+    if cycle is not None:
+        answer.lines.append(_words("hedgehog blocking cycle", cycle))
+    answer.lines.append(_words("hedgehog ideal part", hh.ideal_part))
+    answer.lines.append(_words("hedgehog entry part", hh.entry_part))
+    return answer
 
 
-def _cmd_reduce(args) -> int:
-    graph = _load_graph(args.graph)
-    algebra = LeavittAlgebra(graph, args.field)
-    x = parse_element(algebra, args.expr)
+def _cmd_reduce(graph: Graph, args) -> Answer:
+    x = _element(graph, args)
     witness = reduce_element(x)
     verified = verify_witness(x, witness)
-    if args.format == "json":
-        obj = {"witness": witness_to_obj(witness, algebra), "verified": verified}
-        _print_json(obj)
-        return 0
     kind = (
         "scalar-vertex"
         if isinstance(witness.outcome, ScalarVertex)
         else "cycle-polynomial"
     )
-    outcome = str(outcome_element(algebra, witness.outcome))
-    print(("left: " + " ".join(g.text() for g in witness.left)).rstrip())
-    print(("right: " + " ".join(g.text() for g in witness.right)).rstrip())
-    print("outcome kind: " + kind)
-    print("outcome: " + outcome)
-    print("verified: " + _bool_text(verified))
-    return 0
+    return Answer(
+        {"witness": witness_to_obj(witness, x.algebra), "verified": verified},
+        [
+            _words("left", (g.text() for g in witness.left)),
+            _words("right", (g.text() for g in witness.right)),
+            "outcome kind: " + kind,
+            "outcome: %s" % outcome_element(x.algebra, witness.outcome),
+            "verified: " + _bool_text(verified),
+        ],
+    )
 
 
-def _cmd_nondegen(args) -> int:
-    graph = _load_graph(args.graph)
-    algebra = LeavittAlgebra(graph, args.field)
-    x = parse_element(algebra, args.expr)
+def _cmd_nondegen(graph: Graph, args) -> Answer:
+    x = _element(graph, args)
     a = nondegeneracy_witness(x)
     nonzero = not (x * a * x).is_zero
-    if args.format == "json":
-        _print_json({"witness": str(a), "product_is_nonzero": nonzero})
-        return 0
-    print("witness: %s" % a)
-    print("product is nonzero: " + _bool_text(nonzero))
-    return 0
+    return Answer(
+        {"witness": str(a), "product_is_nonzero": nonzero},
+        ["witness: %s" % a, "product is nonzero: " + _bool_text(nonzero)],
+    )
 
 
-def _cmd_simple(args) -> int:
-    graph = _load_graph(args.graph)
-    return _answer(args, is_simple(graph))
+def _cmd_simple(graph: Graph, args) -> Answer:
+    return _decision(is_simple(graph))
 
 
-def _cmd_minimal(args) -> int:
-    graph = _load_graph(args.graph)
-    return _answer(args, vertex_ideal_minimal(graph, args.vertex))
+def _cmd_minimal(graph: Graph, args) -> Answer:
+    return _decision(vertex_ideal_minimal(graph, args.vertex))
 
 
-def _cmd_member(args) -> int:
-    graph = _load_graph(args.graph)
-    algebra = LeavittAlgebra(graph, args.field)
-    x = parse_element(algebra, args.expr)
-    return _answer(args, in_socle(x))
+def _cmd_member(graph: Graph, args) -> Answer:
+    return _decision(in_socle(_element(graph, args)))
 
 
-def _cmd_eval(args) -> int:
-    graph = _load_graph(args.graph)
-    algebra = LeavittAlgebra(graph, args.field)
-    x = parse_element(algebra, args.expr)
-    if args.format == "json":
-        _print_json({"value": str(x)})
-    else:
-        print(x)
-    return 0
+def _cmd_eval(graph: Graph, args) -> Answer:
+    value = str(_element(graph, args))
+    return Answer({"value": value}, [value])
 
 
-def _cmd_dot(args) -> int:
-    graph = _load_graph(args.graph)
-    print(to_dot(graph), end="")
-    return 0
+def _cmd_dot(graph: Graph, args) -> str:
+    return to_dot(graph)
 
 
-def _cmd_check(args) -> int:
-    graph = _load_graph(args.graph)
+def _cmd_check(graph: Graph, args) -> Answer:
     algebra = LeavittAlgebra(graph, args.field)
     report = algebra.check_relations()
     rng = random.Random(args.seed)
@@ -271,28 +233,62 @@ def _cmd_check(args) -> int:
         if not verify_witness(x, reduce_element(x)):
             failures.append("reduction trial %d: witness rejected" % i)
     passed = report.passed and len(failures) == len(report.failures)
-    if args.format == "json":
-        _print_json(
-            {
-                "relations": {label: n for label, n in report.counts},
-                "reduction_trials": trials,
-                "failures": failures,
-                "passed": passed,
-            }
-        )
-    else:
-        for label, n in report.counts:
-            print("%s: %d" % (label, n))
-        print("reduction trials: %d" % trials)
-        for failure in failures:
-            print("failure: %s" % failure)
-        print("passed: " + _bool_text(passed))
-    return 0 if passed else 1
+    return Answer(
+        {
+            "relations": {label: n for label, n in report.counts},
+            "reduction_trials": trials,
+            "failures": failures,
+            "passed": passed,
+        },
+        ["%s: %d" % (label, n) for label, n in report.counts]
+        + ["reduction trials: %d" % trials]
+        + ["failure: %s" % failure for failure in failures]
+        + ["passed: " + _bool_text(passed)],
+        0 if passed else 1,
+    )
 
 
 # ----------------------------------------------------------------------
 # parser assembly
 # ----------------------------------------------------------------------
+
+# argparse specs of the options that follow the graph file.
+_OPTIONS = {
+    "--expr": {"required": True, "help": "element expression"},
+    "--vertex": {"required": True, "help": "vertex name"},
+    "--set": {"required": True, "help": "comma-separated vertex names (may be empty)"},
+    "--field": {"type": field_from_selector, "default": QQ,
+                "help": "coefficient field: q or gf:p with p prime (default q)"},
+    "--seed": {"type": int, "default": 0, "help": "seed for the random trials"},
+    "--depth": {"type": _depth_bound, "default": None,
+                "help": "hedgehog depth bound (default: vertex count + 1)"},
+}
+_TEXT_JSON = ("text", "json")
+_ELEMENT = ("--expr", "--field")
+
+# (name, help text, handler, options, --format choices), in --help order.
+_COMMANDS = (
+    ("linepoints", "list the line points", _cmd_linepoints, (), _TEXT_JSON),
+    ("closure", "hereditary saturated closure of a vertex set", _cmd_closure,
+     ("--set",), _TEXT_JSON),
+    ("socle", "socle report: generators and matricial summands", _cmd_socle,
+     (), _TEXT_JSON),
+    ("structure", "full socle report including the hedgehog graph",
+     _cmd_structure, ("--depth",), ("text", "json", "dot")),
+    ("reduce", "reduce an element to a corner form with a replayable witness",
+     _cmd_reduce, _ELEMENT, _TEXT_JSON),
+    ("nondegen", "produce a with x a x nonzero", _cmd_nondegen, _ELEMENT, _TEXT_JSON),
+    ("simple", "decide simplicity of the algebra", _cmd_simple, (), _TEXT_JSON),
+    ("minimal", "decide minimality of the left ideal of a vertex", _cmd_minimal,
+     ("--vertex",), _TEXT_JSON),
+    ("member", "decide socle membership of an element", _cmd_member,
+     _ELEMENT, _TEXT_JSON),
+    ("eval", "normal form of an expression", _cmd_eval, _ELEMENT, _TEXT_JSON),
+    ("dot", "emit the graph in DOT", _cmd_dot, (), ()),
+    ("check", "recheck the defining relations and spot-check reductions",
+     _cmd_check, ("--field", "--seed"), _TEXT_JSON),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -303,49 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(
-        name: str,
-        help_text: str,
-        handler,
-        formats: tuple[str, ...] = ("text", "json"),
-        expr: bool = False,
-        vertex: bool = False,
-        vertex_set: bool = False,
-        field: bool = False,
-        seed: bool = False,
-        depth: bool = False,
-    ) -> None:
+    for name, help_text, handler, options, formats in _COMMANDS:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("graph", help="path to a graph file")
-        if expr:
-            p.add_argument("--expr", required=True, help="element expression")
-        if vertex:
-            p.add_argument("--vertex", required=True, help="vertex name")
-        if vertex_set:
-            p.add_argument(
-                "--set",
-                required=True,
-                help="comma-separated vertex names (may be empty)",
-            )
-        if field:
-            p.add_argument(
-                "--field",
-                type=field_from_selector,
-                default=QQ,
-                help="coefficient field: q or gf:p with p prime (default q)",
-            )
-        if seed:
-            p.add_argument(
-                "--seed", type=int, default=0, help="seed for the random trials"
-            )
-        if depth:
-            p.add_argument(
-                "--depth",
-                type=_depth_bound,
-                default=None,
-                help="hedgehog depth bound (default: vertex count + 1)",
-            )
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
         if formats:
             p.add_argument(
                 "--format",
@@ -354,71 +312,27 @@ def build_parser() -> argparse.ArgumentParser:
                 help="output format (default text)",
             )
         p.set_defaults(handler=handler)
-
-    add("linepoints", "list the line points", _cmd_linepoints)
-    add(
-        "closure",
-        "hereditary saturated closure of a vertex set",
-        _cmd_closure,
-        vertex_set=True,
-    )
-    add("socle", "socle report: generators and matricial summands", _cmd_socle)
-    add(
-        "structure",
-        "full socle report including the hedgehog graph",
-        _cmd_structure,
-        formats=("text", "json", "dot"),
-        depth=True,
-    )
-    add(
-        "reduce",
-        "reduce an element to a corner form with a replayable witness",
-        _cmd_reduce,
-        expr=True,
-        field=True,
-    )
-    add(
-        "nondegen",
-        "produce a with x a x nonzero",
-        _cmd_nondegen,
-        expr=True,
-        field=True,
-    )
-    add("simple", "decide simplicity of the algebra", _cmd_simple)
-    add(
-        "minimal",
-        "decide minimality of the left ideal of a vertex",
-        _cmd_minimal,
-        vertex=True,
-    )
-    add(
-        "member",
-        "decide socle membership of an element",
-        _cmd_member,
-        expr=True,
-        field=True,
-    )
-    add("eval", "normal form of an expression", _cmd_eval, expr=True, field=True)
-    add("dot", "emit the graph in DOT", _cmd_dot, formats=())
-    add(
-        "check",
-        "recheck the defining relations and spot-check reductions",
-        _cmd_check,
-        field=True,
-        seed=True,
-    )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command: parse the arguments, load the graph, compute the
+    answer, and only then print it by --format. Returns the exit status."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        answer = args.handler(_load_graph(args.graph), args)
+        if isinstance(answer, str):
+            print(answer, end="")
+            return 0
+        if args.format == "json":
+            payload = {"schema": 1, **answer.obj}
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print("\n".join(answer.lines))
+        return answer.status
     except SystemExit as ex:
-        code = ex.code
-        return code if isinstance(code, int) else 2
-    try:
-        return args.handler(args)
+        # argparse: 0 after --help, 2 for a usage error.
+        return ex.code if isinstance(ex.code, int) else 2
     except (GraphParseError, ExprParseError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2

@@ -159,10 +159,6 @@ class Graph:
             raise GraphError("unknown edge %r" % name)
         return self.edges[self._eindex[name]]
 
-    def edge_index(self, name: str) -> int:
-        self.edge(name)
-        return self._eindex[name]
-
     def out_edges(self, vertex: str) -> tuple[Edge, ...]:
         self.require_vertex(vertex)
         return self._out[vertex]
@@ -659,10 +655,9 @@ def _dot_id(name: str) -> str:
     return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(graph: Graph, name: str = "") -> str:
+def to_dot(graph: Graph) -> str:
     """Render as DOT, declaration order throughout, stable byte for byte."""
-    head = "digraph %s{" % (_dot_id(name) + " " if name else "")
-    lines = [head]
+    lines = ["digraph {"]
     for v in graph.vertices:
         lines.append("  %s;" % _dot_id(v))
     for e in graph.edges:

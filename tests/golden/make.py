@@ -17,7 +17,12 @@ over Q and GF(5); the fixtures get two fixed expressions instead,
 `check`, and four runs that end in an error. After those, each graph gets
 `socle`, `linepoints` and `closure` of one seeded vertex set, text and
 JSON, and `structure` as text, JSON and DOT at `--depth 0`, `--depth 2` and
-the default depth, where no corpus graph's hedgehog has more than 230 spines.
+the default depth, where no corpus graph's hedgehog has more than 230 spines,
+and last `dot`; the fixtures also get `check --seed 7`, text and JSON. The
+corpus ends with the command line surface, on the fixture W: `--help` at
+the top level and for each command, and the usage errors that argparse
+reports (exit 2). argparse wraps its usage text to the COLUMNS environment
+variable, so run() pins it to 80 for the duration of each run.
 Regenerate only when an output is meant to change, and record which lines
 changed and why.
 """
@@ -31,6 +36,7 @@ import os
 import random
 import sys
 import tempfile
+from unittest import mock
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "corpus.jsonl")
@@ -60,6 +66,20 @@ ERROR_RUNS = (
     ["eval", "GRAPH", "--expr=nosuch"],
     ["member", "GRAPH", "--expr=(1 +"],
 )
+COMMANDS = ("linepoints", "closure", "socle", "structure", "reduce", "nondegen",
+            "simple", "minimal", "member", "eval", "dot", "check")
+SURFACE_GRAPH = "W"
+# Usage errors, which argparse reports before any graph is read.
+USAGE_RUNS = (
+    [],
+    ["nosuch", "GRAPH"],
+    ["eval", "GRAPH"],
+    ["socle", "GRAPH", "--format", "dot"],
+    ["structure", "GRAPH", "--depth", "-1"],
+    ["socle", "GRAPH", "--depth", "2"],
+    ["eval", "GRAPH", "--expr", "v", "--field", "gf:6"],
+    ["check", "GRAPH", "--seed", "x"],
+)
 
 
 def graph_text(graph) -> str:
@@ -69,9 +89,11 @@ def graph_text(graph) -> str:
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
-    """One in-process CLI run with stdout and stderr captured."""
+    """One in-process CLI run with stdout and stderr captured, and usage
+    text wrapped to 80 columns whatever the terminal's width."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
@@ -99,6 +121,18 @@ def commands(text: str, exprs, check: bool, vertex_set: str):
     for depth in (["--depth", "0"], ["--depth", "2"], []):
         for fmt in FORMATS + ("dot",):
             yield ["structure", "GRAPH", *depth, "--format", fmt]
+    yield ["dot", "GRAPH"]
+    if check:
+        for fmt in FORMATS:
+            yield ["check", "GRAPH", "--seed", "7", "--format", fmt]
+
+
+def surface():
+    """The help texts and usage errors, GRAPH standing for a fixture."""
+    yield ["--help"]
+    for command in COMMANDS:
+        yield [command, "--help"]
+    yield from USAGE_RUNS
 
 
 def inputs():
@@ -114,6 +148,11 @@ def inputs():
         yield "g%02d" % i, graph_text(graph), exprs, False
 
 
+def record(name: str, path: str, argv: list[str]) -> dict:
+    code, out, err = run([path if a == "GRAPH" else a for a in argv])
+    return {"name": name, "argv": argv, "exit": code, "stdout": out, "stderr": err}
+
+
 def records(directory: str):
     # A stream of its own, so that drawing the sets moves none of the
     # graphs and elements that inputs() draws.
@@ -126,9 +165,10 @@ def records(directory: str):
         vertices = parse_graph(text).vertices
         picked = sets.sample(vertices, sets.randint(1, min(2, len(vertices))))
         for argv in commands(text, exprs, check, ",".join(picked)):
-            code, out, err = run([path if a == "GRAPH" else a for a in argv])
-            yield {"name": name, "argv": argv, "exit": code,
-                   "stdout": out, "stderr": err}
+            yield record(name, path, argv)
+    path = os.path.join(directory, SURFACE_GRAPH + ".graph")
+    for argv in surface():
+        yield record(SURFACE_GRAPH, path, argv)
 
 
 def write_corpus() -> None:
