@@ -72,6 +72,15 @@ def _depth_bound(text: str) -> int:
     return depth
 
 
+def _field(text: str):
+    """A coefficient field from its selector, with the reason when it is
+    refused (argparse reports only the name of a failing type otherwise)."""
+    try:
+        return field_from_selector(text)
+    except FieldError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 class Answer(NamedTuple):
     """A command's answer: the JSON object (without "schema"), the text
     lines, and the exit status."""
@@ -257,7 +266,7 @@ _OPTIONS = {
     "--expr": {"required": True, "help": "element expression"},
     "--vertex": {"required": True, "help": "vertex name"},
     "--set": {"required": True, "help": "comma-separated vertex names (may be empty)"},
-    "--field": {"type": field_from_selector, "default": QQ,
+    "--field": {"type": _field, "default": QQ,
                 "help": "coefficient field: q or gf:p with p prime (default q)"},
     "--seed": {"type": int, "default": 0, "help": "seed for the random trials"},
     "--depth": {"type": _depth_bound, "default": None,

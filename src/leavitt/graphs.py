@@ -87,7 +87,7 @@ class Graph:
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge] = ()):
         self.vertices = tuple(vertices)
-        self.edges = tuple(Edge(*e) for e in edges)
+        self.edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
         if not self.vertices:
             raise GraphError("a graph needs at least one vertex")
         names: set[str] = set()
@@ -100,7 +100,6 @@ class Graph:
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
         self._eindex: dict[str, int] = {}
         out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        inn: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for i, e in enumerate(self.edges):
             if not e.name:
                 raise GraphError("empty edge name")
@@ -113,9 +112,10 @@ class Graph:
                 raise GraphError("edge %r has unknown range %r" % (e.name, e.range))
             self._eindex[e.name] = i
             out[e.source].append(e)
-            inn[e.range].append(e)
         self._out = {v: tuple(es) for v, es in out.items()}
-        self._in = {v: tuple(es) for v, es in inn.items()}
+        # Built on first use, like the hash: the algebra and the reduction
+        # never follow edges backwards.
+        self._in: dict[str, tuple[Edge, ...]] | None = None
         self._hash: int | None = None
 
     def __eq__(self, other) -> bool:
@@ -165,6 +165,11 @@ class Graph:
 
     def in_edges(self, vertex: str) -> tuple[Edge, ...]:
         self.require_vertex(vertex)
+        if self._in is None:
+            inn: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+            for e in self.edges:
+                inn[e.range].append(e)
+            self._in = {v: tuple(es) for v, es in inn.items()}
         return self._in[vertex]
 
     def out_degree(self, vertex: str) -> int:
@@ -230,7 +235,7 @@ class Graph:
         vs = set(subset)
         for v in vs:
             self.require_vertex(v)
-        return tuple(v for v in self.vertices if v in vs)
+        return tuple(sorted(vs, key=self._vindex.__getitem__))
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +257,7 @@ def parse_graph(text: str) -> Graph:
     endpoints; endpoint existence is checked once the whole text is read.
     """
     vertices: list[str] = []
-    pending: list[tuple[Edge, int]] = []
+    pending: list[tuple[str, str, str, int]] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -276,18 +281,22 @@ def parse_graph(text: str) -> Graph:
             if name in seen:
                 raise GraphParseError("duplicate name %r" % name, lineno)
             seen.add(name)
-            pending.append((Edge(name, source, range_), lineno))
+            pending.append((name, source, range_, lineno))
             continue
         raise GraphParseError("cannot parse %r" % line, lineno)
     if not vertices:
         raise GraphParseError("no vertices declared")
-    vset = set(vertices)
-    for e, lineno in pending:
-        if e.source not in vset:
-            raise GraphParseError("unknown source vertex %r" % e.source, lineno)
-        if e.range not in vset:
-            raise GraphParseError("unknown range vertex %r" % e.range, lineno)
-    return Graph(vertices, [e for e, _ in pending])
+    # Edges share the vertex strings instead of keeping the copies the
+    # regular expression made of their endpoints.
+    names = {v: v for v in vertices}
+    edges = []
+    for name, source, range_, lineno in pending:
+        if source not in names:
+            raise GraphParseError("unknown source vertex %r" % source, lineno)
+        if range_ not in names:
+            raise GraphParseError("unknown range vertex %r" % range_, lineno)
+        edges.append(Edge(name, names[source], names[range_]))
+    return Graph(vertices, edges)
 
 
 # ----------------------------------------------------------------------

@@ -111,23 +111,19 @@ class ReductionWitness:
 def realify(x: Element) -> tuple[Path, Element]:
     """A path nu with x nu real (ghost-free) and nonzero.
 
-    nu begins at the first declared vertex keeping the product nonzero and
-    grows by the first out-edge that keeps it nonzero. While a ghost part
-    remains, the vertex expansion relation guarantees such an edge exists,
-    and each step shortens the longest ghost part, so the peeling ends.
+    nu begins at the first declared vertex v with x v nonzero: x v keeps
+    the terms p q* whose ghost part q starts at v, so v is read off the
+    terms. nu grows by the first out-edge that keeps the product nonzero.
+    While a ghost part remains, the vertex expansion relation guarantees
+    such an edge exists, and each step shortens the longest ghost part, so
+    the peeling ends.
     """
     if x.is_zero:
         raise ZeroElementError("cannot realify zero")
     alg = x.algebra
     g = alg.graph
-    y = None
-    base = None
-    for v in g.vertices:
-        cand = x * alg.vertex(v)
-        if not cand.is_zero:
-            y = cand
-            base = v
-            break
+    base = g.sorted_vertices(m.ghost.source for m, _ in x.items())[0]
+    y = x * alg.vertex(base)
     edges: list[str] = []
     at = base
     while not y.is_real:
@@ -200,13 +196,13 @@ def reduce(x: Element) -> ReductionWitness:
             return ReductionWitness(
                 tuple(left), tuple(right), ScalarVertex(c, m.real.range)
             )
-        for v in g.vertices:
-            cand = alg.vertex(v) * y
-            if not cand.is_zero:
-                if cand != y:
-                    left.append(Generator("vertex", v))
-                    y = cand
-                break
+        # Cut to the first declared source: v y keeps the terms whose real
+        # part starts at v.
+        v = g.sorted_vertices(m.real.source for m, _ in terms)[0]
+        cand = alg.vertex(v) * y
+        if cand != y:
+            left.append(Generator("vertex", v))
+            y = cand
         terms = y.items()
         if len(terms) == 1:
             continue
@@ -325,19 +321,20 @@ def nondegeneracy_witness(x: Element) -> Element:
 
     Writing the reduction as L x R = w with w a scalar vertex or a cycle
     polynomial, w squares to something nonzero, so L (x R L x) R is nonzero
-    and a = R L works; cutting by the local unit of x changes nothing in
-    x a x and keeps a small.
+    and a = R L works. a is cut by the local unit u of x on both sides,
+    which changes nothing in x a x and keeps a small: the right generators,
+    then the left ones in reverse, are multiplied onto u in turn, and u
+    closes the product.
     """
     witness = reduce(x)
     alg = x.algebra
-    right_prod = alg.one()
-    for gen in witness.right:
-        right_prod = right_prod * gen.element(alg)
-    left_prod = alg.one()
-    for gen in reversed(witness.left):
-        left_prod = left_prod * gen.element(alg)
     unit = x.local_unit()
-    return unit * right_prod * left_prod * unit
+    a = unit
+    for gen in witness.right:
+        a = a * gen.element(alg)
+    for gen in reversed(witness.left):
+        a = a * gen.element(alg)
+    return a * unit
 
 
 def is_simple(graph: Graph) -> bool:

@@ -3,16 +3,23 @@
 Each function follows the definition it implements as directly as it can:
 trees are recomputed per vertex, cycles are enumerated one by one, the
 closure is iterated to a fixpoint and taken once per vertex for simplicity,
-paths are listed from every vertex, and normalization scans its live
-redexes on every step. They are exponential or polynomial of high degree,
-so tests run them on small inputs only.
+paths are listed from every vertex, normalization scans its live redexes
+on every step, and reduction multiplies by every vertex to find where an
+element starts. They are exponential or polynomial of high degree, so tests
+run them on small inputs only.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from leavitt.algebra import AlgebraError, Element, LeavittAlgebra, Monomial
+from leavitt.algebra import (
+    AlgebraError,
+    Element,
+    LeavittAlgebra,
+    Monomial,
+    ZeroElementError,
+)
 from leavitt.graphs import (
     CyclicGraphError,
     Edge,
@@ -27,6 +34,14 @@ from leavitt.graphs import (
     is_hereditary,
     paths_from_by_length,
     tree,
+)
+from leavitt.reduction import (
+    CyclePolynomial,
+    Generator,
+    ReductionWitness,
+    ScalarVertex,
+    _common_closed_root,
+    _first_bifurcation,
 )
 from leavitt.socle import SinkMatrices
 
@@ -306,3 +321,152 @@ def normal_form_steps(
         steps += 1
     ordered = sorted(terms.items(), key=lambda kv: algebra._mono_key(kv[0]))
     return Element(algebra, tuple(ordered)), steps
+
+
+def realify(x: Element) -> tuple[Path, Element]:
+    """A path nu with x nu real (ghost-free) and nonzero, its base found by
+    multiplying x by every vertex in declaration order.
+
+    nu begins at the first declared vertex keeping the product nonzero and
+    grows by the first out-edge that keeps it nonzero. While a ghost part
+    remains, the vertex expansion relation guarantees such an edge exists,
+    and each step shortens the longest ghost part, so the peeling ends.
+    """
+    if x.is_zero:
+        raise ZeroElementError("cannot realify zero")
+    alg = x.algebra
+    g = alg.graph
+    y = None
+    base = None
+    for v in g.vertices:
+        cand = x * alg.vertex(v)
+        if not cand.is_zero:
+            y = cand
+            base = v
+            break
+    edges: list[str] = []
+    at = base
+    while not y.is_real:
+        for e in g.out_edges(at):
+            cand = y * alg.edge(e.name)
+            if not cand.is_zero:
+                y = cand
+                at = e.range
+                edges.append(e.name)
+                break
+        else:
+            raise AlgebraError("realification found no continuing edge")
+    return g.path(base, edges), y
+
+
+def reduce(x: Element) -> ReductionWitness:
+    """A replayable reduction of a nonzero element to a corner form, which
+    cuts to a common source by trying every vertex in declaration order."""
+    if x.is_zero:
+        raise ZeroElementError("cannot reduce zero")
+    alg = x.algebra
+    g = alg.graph
+    left: list[Generator] = []
+    right: list[Generator] = []
+
+    nu, y = realify(x)
+    if x * alg.vertex(nu.source) != x:
+        right.append(Generator("vertex", nu.source))
+    right.extend(Generator("edge", name) for name in nu.edges)
+
+    # Strips only shorten supports; rotations between kills are bounded by
+    # the periodicity of the rotated paths. The margin is generous.
+    nterms = len(y.items())
+    maxlen = max(len(m.real) for m, _ in y.items())
+    limit = 64 + 8 * (nterms + 2) * (maxlen + 2)
+
+    for _ in range(limit):
+        terms = y.items()
+        if len(terms) == 1:
+            m, c = terms[0]
+            for name in m.real.edges:
+                left.append(Generator("ghost", name))
+                y = alg.ghost(name) * y
+            return ReductionWitness(
+                tuple(left), tuple(right), ScalarVertex(c, m.real.range)
+            )
+        for v in g.vertices:
+            cand = alg.vertex(v) * y
+            if not cand.is_zero:
+                if cand != y:
+                    left.append(Generator("vertex", v))
+                    y = cand
+                break
+        terms = y.items()
+        if len(terms) == 1:
+            continue
+        paths = [m.real for m, _ in terms]
+        shortest = min(paths, key=g.path_sort_key)
+        if not shortest.is_trivial:
+            # Strip the canonically first shortest path. Its own term turns
+            # into a vertex term, longer paths lose it as a prefix or die;
+            # being shortest, it never manufactures a ghost part.
+            for name in shortest.edges:
+                left.append(Generator("ghost", name))
+                y = alg.ghost(name) * y
+            continue
+        base = shortest.source
+        closed = [p for p in paths if not p.is_trivial]
+        root = _common_closed_root(g, closed)
+        if root is None:
+            # Conjugate by the first edge of the canonically first closed
+            # path: aligned paths rotate, the rest die. Misalignment must
+            # surface within bounded rounds, else a common root existed.
+            first = min(closed, key=g.path_sort_key).edges[0]
+            left.append(Generator("ghost", first))
+            right.append(Generator("edge", first))
+            y = alg.ghost(first) * y * alg.edge(first)
+            continue
+        exit_pos = _first_bifurcation(g, root)
+        if exit_pos is None:
+            # No exit anywhere on the root: it is a power of the cycle that
+            # first returns to the base vertex, and y is a polynomial in it
+            # whose terms come shortest first, so exponents ascend.
+            cmin = g.path(base, root.edges[: g.path_vertices(root).index(base, 1)])
+            coeffs = tuple((len(m.real) // len(cmin), c) for m, c in y.items())
+            return ReductionWitness(
+                tuple(left), tuple(right), CyclePolynomial(base, cmin, coeffs)
+            )
+        # Conjugate up to the first bifurcation of the root, then escape
+        # along a different edge there: every root power dies against it
+        # and only the scalar vertex term survives.
+        for name in root.edges[:exit_pos]:
+            left.append(Generator("ghost", name))
+            right.append(Generator("edge", name))
+            y = alg.ghost(name) * y * alg.edge(name)
+        avoid = root.edges[exit_pos]
+        branch_vertex = g.edge(avoid).source
+        exit_edge = next(
+            e.name for e in g.out_edges(branch_vertex) if e.name != avoid
+        )
+        left.append(Generator("ghost", exit_edge))
+        right.append(Generator("edge", exit_edge))
+        y = alg.ghost(exit_edge) * y * alg.edge(exit_edge)
+    else:
+        raise AlgebraError("reduction did not converge within its step bound")
+
+
+def nondegeneracy_witness(x: Element) -> Element:
+    """An element a with x a x nonzero, built as u (1 R) (1 L) u from the
+    unit 1 of the whole algebra and the local unit u of x.
+
+    Writing the reduction as L x R = w with w a scalar vertex or a cycle
+    polynomial, w squares to something nonzero, so L (x R L x) R is nonzero
+    and a = R L works; cutting by the local unit of x changes nothing in
+    x a x and keeps a small.
+    """
+    witness = reduce(x)
+    alg = x.algebra
+    right_prod = alg.one()
+    for gen in witness.right:
+        right_prod = right_prod * gen.element(alg)
+    left_prod = alg.one()
+    for gen in reversed(witness.left):
+        left_prod = left_prod * gen.element(alg)
+    unit = x.local_unit()
+    return unit * right_prod * left_prod * unit

@@ -240,6 +240,9 @@ def test_exit_codes(capsys, tmp_path, write_graph):
 
     rc, _, err = run(capsys, "eval", path, "--expr", "v", "--field", "gf:6")
     assert rc == 2
+    assert err.splitlines()[-1].endswith(
+        "argument --field: GF modulus must be prime, got 6"
+    )
 
     assert main([]) == 2
     capsys.readouterr()

@@ -111,6 +111,75 @@ def test_graph_equality_and_queries(graphs):
         g.require_vertex("zz")
 
 
+def _graph_text(g: Graph, rng) -> str:
+    """The graph in the file format, its edge lines before, after or around
+    the vertex line."""
+    lines = ["edge %s: %s -> %s" % e for e in g.edges]
+    lines.insert(rng.randint(0, len(lines)), "vertices: " + " ".join(g.vertices))
+    return "\n".join(lines) + "\n"
+
+
+def _footprint_graphs():
+    rng = random.Random(37)
+    for _ in range(60):
+        g = random_graph(rng)
+        yield g, parse_graph(_graph_text(g, rng))
+
+
+def test_parsed_edges_share_the_vertex_strings():
+    for g, parsed in _footprint_graphs():
+        assert parsed == g
+        ids = {id(v) for v in parsed.vertices}
+        for e in parsed.edges:
+            assert id(e.source) in ids and id(e.range) in ids
+
+
+def test_graph_keeps_the_edges_it_is_given():
+    rng = random.Random(41)
+    for _ in range(20):
+        g = random_graph(rng)
+        edges = list(g.edges)
+        again = Graph(g.vertices, edges)
+        assert all(a is b for a, b in zip(again.edges, edges))
+    plain = Graph(["a", "b"], [("e", "a", "b")])
+    assert plain.edges == (Edge("e", "a", "b"),)
+    assert type(plain.edges[0]) is Edge
+
+
+def test_sorted_vertices_follow_declaration_order():
+    rng = random.Random(43)
+    for g, _ in _footprint_graphs():
+        subset = [v for v in g.vertices if rng.random() < 0.5]
+        rng.shuffle(subset)
+        expected = tuple(v for v in g.vertices if v in subset)
+        assert g.sorted_vertices(subset + subset[:1]) == expected
+    with pytest.raises(UnknownVertexError):
+        g.sorted_vertices(["zz"])
+
+
+def _eager_in_edges(g: Graph) -> dict:
+    return {v: tuple(e for e in g.edges if e.range == v) for v in g.vertices}
+
+
+def test_lazy_in_edges_match_an_eager_rebuild():
+    for g, parsed in _footprint_graphs():
+        # First query on a fresh graph.
+        assert g._in is None
+        assert {v: g.in_edges(v) for v in g.vertices} == _eager_in_edges(g)
+        # After queries that walk forwards only, and after the sweeps that
+        # build the in-edges themselves.
+        parsed.sinks()
+        tree(parsed, parsed.vertices[0])
+        assert parsed._in is None
+        line_points(parsed)
+        hereditary_saturated_closure(parsed, parsed.vertices[:1])
+        assert {v: parsed.in_edges(v) for v in parsed.vertices} == _eager_in_edges(
+            parsed
+        )
+    with pytest.raises(UnknownVertexError):
+        g.in_edges("zz")
+
+
 def test_path_construction_and_validation(graphs):
     g = graphs["L3"]
     p = g.path("v1", ["a", "b"])

@@ -11,6 +11,8 @@ from leavitt import (
     GraphError,
     Generator,
     LeavittAlgebra,
+    PrimeField,
+    QQ,
     ReductionWitness,
     ScalarVertex,
     ZeroElementError,
@@ -297,6 +299,70 @@ def test_nondegeneracy_random(algebras):
             x = random_nonzero_element(rng, algebra)
             a = nondegeneracy_witness(x)
             assert not (x * a * x).is_zero
+
+
+def _shuffled_line(rng):
+    """A line of one to twelve vertices declared in shuffled order."""
+    line = line_graph(rng.randint(1, 12))
+    order = list(line.vertices)
+    rng.shuffle(order)
+    return Graph(order, line.edges)
+
+
+def test_reduction_matches_the_scanning_oracle():
+    rng = random.Random(101)
+    families = (random_graph, _exitless_cycle_with_feeders, _shuffled_line)
+    fields = (QQ, PrimeField(5))
+    cuts = cycles = 0
+    for i in range(300):
+        g = families[i % 3](rng)
+        for field in fields:
+            algebra = LeavittAlgebra(g, field)
+            for _ in range(2):
+                x = random_nonzero_element(rng, algebra, max_length=4)
+                wit = reduce(x)
+                assert witness_to_obj(wit, algebra) == witness_to_obj(
+                    oracles.reduce(x), algebra
+                )
+                assert nondegeneracy_witness(x) == oracles.nondegeneracy_witness(x)
+                cuts += any(gen.kind == "vertex" for gen in wit.left)
+                cycles += isinstance(wit.outcome, CyclePolynomial)
+    # Both the cut step and the exitless cycle outcome are exercised.
+    assert cuts >= 100 and cycles >= 30
+
+
+def test_certificates_cost_the_same_at_any_graph_size(monkeypatch):
+    calls = []
+    vertex, one = LeavittAlgebra.vertex, LeavittAlgebra.one
+
+    def counted(self, name):
+        calls.append(name)
+        return vertex(self, name)
+
+    def uncalled(self):
+        raise AssertionError("one() built during a certificate")
+
+    monkeypatch.setattr(LeavittAlgebra, "vertex", counted)
+    monkeypatch.setattr(LeavittAlgebra, "one", uncalled)
+    counts = []
+    for n in (10, 10_000):
+        g = line_graph(n)
+        algebra = LeavittAlgebra(g)
+        v, e = "v%d" % (n - 1), ["e%d" % i for i in (n - 3, n - 2, n - 1)]
+        calls.clear()
+        for text in (
+            "%s^* + %s" % (e[2], e[1]),
+            "3*%s - %s^*" % (v, e[2]),
+            "%s %s^* + 2*%s" % (e[1], e[1], e[2]),
+            "%s %s %s^*" % (e[1], e[2], e[2]),
+        ):
+            x = parse_element(algebra, text)
+            assert verify_witness(x, reduce(x))
+            assert not (x * nondegeneracy_witness(x) * x).is_zero
+        counts.append(len(calls))
+        # No backward edge lookup either: the in-edges were never built.
+        assert g._in is None
+    assert counts[0] == counts[1] > 0
 
 
 # ----------------------------------------------------------------------
