@@ -19,8 +19,10 @@ the order redexes are picked) is exercised empirically by the test suite,
 against a scanning normalizer that may pick them in any order.
 
 Normalization always rewrites the least live redex first, popping it from a
-heap at O(log n) per rewrite step for n live redexes; the sort key of a
-monomial is computed once and stored on it. The step budget is
+heap at O(log n) per rewrite step for n live redexes; the hash and the sort
+key of a monomial are each computed once and stored on it, and its paths
+hash and compare as tuples, in C. Input monomials are checked by walking
+their edges through the graph, which builds no paths. The step budget is
 DEFAULT_STEP_LIMIT. Operations on elements of one algebra object never
 compare graphs, so their cost does not depend on the size of the graph.
 
@@ -29,7 +31,7 @@ Coefficients come from leavitt.fields, so everything here is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from heapq import heappop, heappush
 from itertools import count
 from typing import Iterable, Iterator
@@ -66,32 +68,62 @@ def special_edges(graph: Graph) -> dict[str, str]:
     }
 
 
-@dataclass(frozen=True, slots=True)
 class Monomial:
     """A product p q* of a real path and a reversed ghost path.
 
     The two paths must share their range vertex; that is the only shape a
     nonzero such product can have. A monomial with both parts trivial is a
     vertex.
+
+    Monomials are immutable values: equal when their paths are, with the
+    hash computed on first use and stored, which immutability keeps valid.
     """
+
+    # _hash is stored by __hash__ on first use; _key is the sort key in
+    # the order of _key_graph, stored by LeavittAlgebra._mono_key. Neither
+    # is part of equality, and neither is pickled: string hashes differ
+    # between processes.
+    __slots__ = ("real", "ghost", "_hash", "_key", "_key_graph")
 
     real: Path
     ghost: Path
-    # The sort key in the order of _key_graph, stored by
-    # LeavittAlgebra._mono_key on first use; not part of equality or hash.
-    _key: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _key_graph: Graph | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self) -> None:
-        if self.real.range != self.ghost.range:
+    def __init__(self, real: Path, ghost: Path) -> None:
+        if real.range != ghost.range:
             raise AlgebraError(
                 "monomial parts must share a range, got %r and %r"
-                % (self.real.range, self.ghost.range)
+                % (real.range, ghost.range)
             )
+        _set_real(self, real)
+        _set_ghost(self, ghost)
+        _set_hash(self, None)
+        _set_key_graph(self, None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.real == other.real and self.ghost == other.ghost
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.real, self.ghost))
+            _set_hash(self, h)
+        return h
+
+    def __reduce__(self) -> tuple:
+        return Monomial, (self.real, self.ghost)
+
+    def __repr__(self) -> str:
+        return "Monomial(real=%r, ghost=%r)" % (self.real, self.ghost)
 
     @property
     def is_vertex(self) -> bool:
@@ -107,6 +139,15 @@ class Monomial:
         bits = list(self.real.edges)
         bits.extend(name + "^*" for name in reversed(self.ghost.edges))
         return " ".join(bits)
+
+
+# The slot writers: assignment through an instance raises, and these are
+# faster than object.__setattr__.
+_set_real = Monomial.real.__set__
+_set_ghost = Monomial.ghost.__set__
+_set_hash = Monomial._hash.__set__
+_set_key = Monomial._key.__set__
+_set_key_graph = Monomial._key_graph.__set__
 
 
 class LeavittAlgebra:
@@ -208,13 +249,13 @@ class LeavittAlgebra:
                 self.graph.path_sort_key(m.real),
                 self.graph.path_sort_key(m.ghost),
             )
-            object.__setattr__(m, "_key", key)
-            object.__setattr__(m, "_key_graph", self.graph)
+            _set_key(m, key)
+            _set_key_graph(m, self.graph)
         return m._key
 
     def _check_monomial(self, m: Monomial) -> None:
-        self.graph.path(m.real.source, m.real.edges)
-        self.graph.path(m.ghost.source, m.ghost.edges)
+        self.graph.require_path(m.real)
+        self.graph.require_path(m.ghost)
 
     def _is_reducible(self, m: Monomial) -> bool:
         if not m.real.edges or not m.ghost.edges:

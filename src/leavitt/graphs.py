@@ -59,13 +59,17 @@ class Edge(NamedTuple):
     range: str
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A finite directed path: a source vertex plus a tuple of edge names.
 
     An empty edge tuple is the trivial path at its source. Build paths
     through Graph.path, Graph.trivial_path, or Graph.concat so that
-    consecutive edges are checked to chain.
+    consecutive edges are checked to chain; Graph.require_path checks one
+    built directly.
+
+    A path is the immutable tuple (source, edges, range) with named
+    fields, so it hashes and compares in C, as that tuple, and carries no
+    per-instance dictionary; its length is its number of edges.
     """
 
     source: str
@@ -155,9 +159,10 @@ class Graph:
         return name in self._eindex
 
     def edge(self, name: str) -> Edge:
-        if name not in self._eindex:
-            raise GraphError("unknown edge %r" % name)
-        return self.edges[self._eindex[name]]
+        try:
+            return self.edges[self._eindex[name]]
+        except KeyError:
+            raise GraphError("unknown edge %r" % name) from None
 
     def out_edges(self, vertex: str) -> tuple[Edge, ...]:
         self.require_vertex(vertex)
@@ -189,11 +194,11 @@ class Graph:
         self.require_vertex(vertex)
         return Path(vertex, (), vertex)
 
-    def path(self, source: str, edge_names: Iterable[str]) -> Path:
-        """Build a path from its source and edge names, checking the chain."""
+    def _walk(self, source: str, names: tuple[str, ...]) -> str:
+        """The vertex the named edges lead to from the source, checking
+        that the source exists and that the edges chain."""
         self.require_vertex(source)
         at = source
-        names = tuple(edge_names)
         for name in names:
             e = self.edge(name)
             if e.source != at:
@@ -201,7 +206,23 @@ class Graph:
                     "edge %r starts at %r, expected %r" % (name, e.source, at)
                 )
             at = e.range
-        return Path(source, names, at)
+        return at
+
+    def path(self, source: str, edge_names: Iterable[str]) -> Path:
+        """Build a path from its source and edge names, checking the chain."""
+        names = tuple(edge_names)
+        return Path(source, names, self._walk(source, names))
+
+    def require_path(self, path: Path) -> Path:
+        """Check a path built directly: its edges chain from its source and
+        end at its range. Builds nothing."""
+        at = self._walk(path.source, path.edges)
+        if at != path.range:
+            raise GraphError(
+                "path %r from %r ends at %r, not at its range %r"
+                % (path.edges, path.source, at, path.range)
+            )
+        return path
 
     def concat(self, first: Path, second: Path) -> Path:
         if first.range != second.source:
@@ -227,7 +248,7 @@ class Graph:
         return (
             len(path.edges),
             self._vindex[path.source],
-            tuple(self._eindex[n] for n in path.edges),
+            tuple(map(self._eindex.__getitem__, path.edges)),
         )
 
     def sorted_vertices(self, subset: Iterable[str]) -> tuple[str, ...]:
@@ -560,7 +581,9 @@ def _first_cycle(graph: Graph, allowed: set[str]) -> Path | None:
     search scanning out-edges in declaration order reaches each vertex first
     along its shortlex-first shortest path. One search per anchor, over the
     allowed vertices declared after it, gives the anchor's first cycle; the
-    first anchor with the shortest one wins.
+    first anchor with the shortest one wins. So once a cycle is found, a
+    search stops at the depth where it could only tie with it, which keeps
+    the searches after the first cycle shallow.
     """
     best = None
     for anchor in graph.vertices:
@@ -568,14 +591,19 @@ def _first_cycle(graph: Graph, allowed: set[str]) -> Path | None:
             continue
         allowed.discard(anchor)
         via: dict[str, Edge] = {}
+        depth = {anchor: 0}
         queue = [anchor]
+        closing = None
         for at in queue:
+            if best is not None and depth[at] + 1 >= len(best):
+                break
             closing = next((e for e in graph.out_edges(at) if e.range == anchor), None)
             if closing is not None:
                 break
             for e in graph.out_edges(at):
                 if e.range in allowed and e.range not in via:
                     via[e.range] = e
+                    depth[e.range] = depth[at] + 1
                     queue.append(e.range)
         if closing is None:
             continue

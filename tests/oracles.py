@@ -1,12 +1,13 @@
 """Slow but obvious routines, kept as oracles for the library's sweeps.
 
 Each function follows the definition it implements as directly as it can:
-trees are recomputed per vertex, cycles are enumerated one by one, the
-closure is iterated to a fixpoint and taken once per vertex for simplicity,
-paths are listed from every vertex, normalization scans its live redexes
-on every step, and reduction multiplies by every vertex to find where an
-element starts. They are exponential or polynomial of high degree, so tests
-run them on small inputs only.
+trees are recomputed per vertex, cycles are enumerated one by one or
+searched for to full depth from every anchor, the closure is iterated to a
+fixpoint and taken once per vertex for simplicity, paths are listed from
+every vertex, normalization scans its live redexes on every step, and
+reduction multiplies by every vertex to find where an element starts.
+They are exponential or polynomial of high degree, so tests run them on
+small inputs only.
 """
 
 from __future__ import annotations
@@ -147,6 +148,44 @@ def simple_cycles(graph: Graph) -> tuple[Path, ...]:
         walk(anchor, anchor_idx, anchor, [], {anchor})
     results.sort(key=graph.path_sort_key)
     return tuple(results)
+
+
+def first_cycle(graph: Graph, allowed: set[str]) -> Path | None:
+    """The shortlex-first simple cycle on allowed vertices, rooted at its
+    least-declared vertex, from a full breadth-first search per anchor.
+    Empties ``allowed``.
+
+    A shortest closed path through an anchor is simple, and a breadth-first
+    search scanning out-edges in declaration order reaches each vertex first
+    along its shortlex-first shortest path. One search per anchor, over the
+    allowed vertices declared after it, gives the anchor's first cycle; the
+    first anchor with the shortest one wins.
+    """
+    best = None
+    for anchor in graph.vertices:
+        if anchor not in allowed:
+            continue
+        allowed.discard(anchor)
+        via: dict[str, Edge] = {}
+        queue = [anchor]
+        for at in queue:
+            closing = next((e for e in graph.out_edges(at) if e.range == anchor), None)
+            if closing is not None:
+                break
+            for e in graph.out_edges(at):
+                if e.range in allowed and e.range not in via:
+                    via[e.range] = e
+                    queue.append(e.range)
+        if closing is None:
+            continue
+        edges = [closing.name]
+        while at != anchor:
+            edges.append(via[at].name)
+            at = via[at].source
+        cycle = Path(anchor, tuple(reversed(edges)), anchor)
+        if best is None or len(cycle) < len(best):
+            best = cycle
+    return best
 
 
 def hedgehog_graph(

@@ -346,6 +346,32 @@ def test_element_operations_compare_no_graphs(monkeypatch):
     assert calls
 
 
+def test_checked_normalization_builds_no_paths(monkeypatch):
+    calls = []
+    build = Graph.path
+
+    def counted(self, source, edge_names):
+        calls.append(1)
+        return build(self, source, edge_names)
+
+    monkeypatch.setattr(Graph, "path", counted)
+    algebra = LeavittAlgebra(rose(3))
+    pairs = _cuntz_sum(algebra, 4)
+    calls.clear()
+    x, steps = algebra.normal_form_steps(pairs)
+    assert (str(x), steps) == ("1*v", 40)
+    assert calls == []
+    # The check still runs: r4 is no edge of rose(3), and e2 leaves v2.
+    r4 = Path("v", ("r4",), "v")
+    with pytest.raises(GraphError):
+        algebra.normal_form_steps(pairs + [(1, Monomial(r4, r4))])
+    line = LeavittAlgebra(line_graph(3))
+    jump = Monomial(Path("v1", ("e2",), "v3"), line.graph.trivial_path("v3"))
+    with pytest.raises(GraphError):
+        line.normal_form_steps(((1, jump),))
+    assert calls == []
+
+
 def test_normal_form_step_bound(algebras):
     rng = random.Random(67)
     for algebra in algebras.values():
@@ -383,6 +409,10 @@ def test_element_construction_validates_paths(algebras):
         L3.element(((1, Monomial(ghost, real)),))
     with pytest.raises(GraphError):
         L3.monomial(real, ghost)
+    # Edges that chain but stop short of the stated range: a ends at v2.
+    short = Monomial(Path("v1", ("a",), "v3"), L3.graph.trivial_path("v3"))
+    with pytest.raises(GraphError):
+        L3.element(((1, short),))
 
 
 def test_step_limit_guard(graphs):

@@ -1,14 +1,31 @@
 """Property tests: the library's routines against the oracles on graphs that
-hypothesis draws, and the command line contract on inputs it draws and
-mutates. Runs are derandomized and keep no example database, so every run
-checks the same inputs."""
+hypothesis draws, paths and monomials as values, round trips of elements
+through their text and the involution, and the command line contract on
+inputs it draws and mutates. Runs are derandomized and keep no example
+database, so every run checks the same inputs."""
+
+import copy
+import pickle
+from dataclasses import make_dataclass
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from leavitt import Edge, Graph, is_simple
+from leavitt import (
+    QQ,
+    Edge,
+    Graph,
+    LeavittAlgebra,
+    Monomial,
+    Path,
+    PrimeField,
+    is_simple,
+    parse_element,
+)
+from leavitt.graphs import _first_cycle
+from leavitt.sampling import random_element
 
 import oracles
 from golden.make import graph_text, run
@@ -30,6 +47,114 @@ def graphs(draw, max_vertices=6):
 @given(graphs())
 def test_is_simple_matches_the_per_vertex_oracle(g):
     assert is_simple(g) == oracles.is_simple(g)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data())
+def test_first_cycle_matches_the_full_search(data):
+    g = data.draw(graphs())
+    allowed = data.draw(st.sets(st.sampled_from(g.vertices)))
+    assert _first_cycle(g, set(allowed)) == oracles.first_cycle(g, set(allowed))
+
+
+# ----------------------------------------------------------------------
+# paths and monomials as values
+# ----------------------------------------------------------------------
+
+@st.composite
+def _paths(draw, g: Graph, end: str | None = None) -> Path:
+    """A path of at most four edges: forward from a drawn vertex, or, given
+    ``end``, backward into it."""
+    start = at = draw(st.sampled_from(g.vertices)) if end is None else end
+    names = []
+    for _ in range(draw(st.integers(0, 4))):
+        steps = g.out_edges(at) if end is None else g.in_edges(at)
+        if not steps:
+            break
+        e = draw(st.sampled_from(steps))
+        names.append(e.name)
+        at = e.range if end is None else e.source
+    return g.path(start, names) if end is None else g.path(at, names[::-1])
+
+
+@st.composite
+def _monomials(draw, g: Graph) -> Monomial:
+    real = draw(_paths(g))
+    return Monomial(real, draw(_paths(g, real.range)))
+
+
+# Dataclass models of Path and Monomial, whose repr is the one kept.
+_DataPath = make_dataclass("Path", ["source", "edges", "range"], frozen=True)
+_DataMonomial = make_dataclass("Monomial", ["real", "ghost"], frozen=True)
+
+
+def _fields(p: Path) -> tuple:
+    return (p.source, p.edges, p.range)
+
+
+def _twin_path(p: Path) -> Path:
+    return Path(p.source, tuple(list(p.edges)), p.range)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.data())
+def test_paths_and_monomials_are_values(data):
+    g = data.draw(graphs())
+    a, b = data.draw(_paths(g)), data.draw(_paths(g))
+    m, n = data.draw(_monomials(g)), data.draw(_monomials(g))
+    assert (a == b) == (_fields(a) == _fields(b))
+    assert (m == n) == (
+        (_fields(m.real), _fields(m.ghost)) == (_fields(n.real), _fields(n.ghost))
+    )
+    if a == b:
+        assert hash(a) == hash(b)
+    if m == n:
+        assert hash(m) == hash(n)
+
+    twin = Monomial(_twin_path(m.real), _twin_path(m.ghost))
+    assert twin is not m and twin == m and hash(twin) == hash(m)
+    assert _twin_path(a) == a and hash(_twin_path(a)) == hash(a)
+    table = {m: "m", n: "n"}
+    assert table[twin] == table[m]
+
+    assert repr(a) == repr(_DataPath(*_fields(a)))
+    assert repr(m) == repr(
+        _DataMonomial(_DataPath(*_fields(m.real)), _DataPath(*_fields(m.ghost)))
+    )
+
+    for value, names in (
+        (a, ("source", "edges", "range", "other")),
+        (m, ("real", "ghost", "_hash", "_key", "_key_graph", "other")),
+    ):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        copies = [copy.copy(value), copy.deepcopy(value)] + [
+            pickle.loads(pickle.dumps(value, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for c in copies:
+            assert type(c) is type(value) and c == value
+            assert hash(c) == hash(value) and repr(c) == repr(value)
+
+
+@st.composite
+def _element_pairs(draw):
+    """Two random elements of the algebra of a drawn graph over Q or GF(5)."""
+    field = draw(st.sampled_from((QQ, PrimeField(5))))
+    algebra = LeavittAlgebra(draw(graphs(max_vertices=5)), field)
+    rng = draw(st.randoms(use_true_random=False))
+    return random_element(rng, algebra), random_element(rng, algebra)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_element_pairs())
+def test_text_and_involution_round_trip(pair):
+    x, y = pair
+    assert parse_element(x.algebra, str(x)) == x
+    assert (x * y).involution() == y.involution() * x.involution()
 
 
 # ----------------------------------------------------------------------
