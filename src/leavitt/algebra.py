@@ -19,22 +19,22 @@ the order redexes are picked) is exercised empirically by the test suite,
 against a scanning normalizer that may pick them in any order.
 
 Normalization always rewrites the least live redex first, popping it from a
-heap at O(log n) per rewrite step for n live redexes; the hash and the sort
-key of a monomial are each computed once and stored on it, and its paths
-hash and compare as tuples, in C. Input monomials are checked by walking
-their edges through the graph, which builds no paths. The step budget is
-DEFAULT_STEP_LIMIT. Operations on elements of one algebra object never
-compare graphs, so their cost does not depend on the size of the graph.
+heap at O(log n) per rewrite step for n live redexes. A monomial and its
+paths are tuples, so they hash and compare in C; a monomial stores nothing
+but its two paths, and its sort key is computed where it is needed. Input
+monomials are checked by walking their edges through the graph, which
+builds no paths. The step budget is DEFAULT_STEP_LIMIT. Operations on
+elements of one algebra object never compare graphs, so their cost does not
+depend on the size of the graph.
 
 Coefficients come from leavitt.fields, so everything here is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import count
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .fields import QQ, FieldError
 from .graphs import Graph, Path
@@ -68,62 +68,32 @@ def special_edges(graph: Graph) -> dict[str, str]:
     }
 
 
-class Monomial:
+class _MonomialParts(NamedTuple):
+    real: Path
+    ghost: Path
+
+
+class Monomial(_MonomialParts):
     """A product p q* of a real path and a reversed ghost path.
 
     The two paths must share their range vertex; that is the only shape a
     nonzero such product can have. A monomial with both parts trivial is a
     vertex.
 
-    Monomials are immutable values: equal when their paths are, with the
-    hash computed on first use and stored, which immutability keeps valid.
+    A monomial is the immutable tuple (real, ghost) with named fields, like
+    Path, so it hashes and compares in C, as that tuple, and carries no
+    per-instance dictionary.
     """
 
-    # _hash is stored by __hash__ on first use; _key is the sort key in
-    # the order of _key_graph, stored by LeavittAlgebra._mono_key. Neither
-    # is part of equality, and neither is pickled: string hashes differ
-    # between processes.
-    __slots__ = ("real", "ghost", "_hash", "_key", "_key_graph")
+    __slots__ = ()
 
-    real: Path
-    ghost: Path
-
-    def __init__(self, real: Path, ghost: Path) -> None:
+    def __new__(cls, real: Path, ghost: Path) -> "Monomial":
         if real.range != ghost.range:
             raise AlgebraError(
                 "monomial parts must share a range, got %r and %r"
                 % (real.range, ghost.range)
             )
-        _set_real(self, real)
-        _set_ghost(self, ghost)
-        _set_hash(self, None)
-        _set_key_graph(self, None)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError("cannot delete field %r" % name)
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.real == other.real and self.ghost == other.ghost
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.real, self.ghost))
-            _set_hash(self, h)
-        return h
-
-    def __reduce__(self) -> tuple:
-        return Monomial, (self.real, self.ghost)
-
-    def __repr__(self) -> str:
-        return "Monomial(real=%r, ghost=%r)" % (self.real, self.ghost)
+        return tuple.__new__(cls, (real, ghost))
 
     @property
     def is_vertex(self) -> bool:
@@ -139,15 +109,6 @@ class Monomial:
         bits = list(self.real.edges)
         bits.extend(name + "^*" for name in reversed(self.ghost.edges))
         return " ".join(bits)
-
-
-# The slot writers: assignment through an instance raises, and these are
-# faster than object.__setattr__.
-_set_real = Monomial.real.__set__
-_set_ghost = Monomial.ghost.__set__
-_set_hash = Monomial._hash.__set__
-_set_key = Monomial._key.__set__
-_set_key_graph = Monomial._key_graph.__set__
 
 
 class LeavittAlgebra:
@@ -240,22 +201,24 @@ class LeavittAlgebra:
         """Total length, ghost length, then shortlex on p and on q.
 
         A total order on the monomials of one graph, so distinct monomials
-        never tie. Computed once per monomial and graph, and stored on it.
+        never tie.
         """
-        if m._key_graph is not self.graph:
-            key = (
-                len(m.real) + len(m.ghost),
-                len(m.ghost),
-                self.graph.path_sort_key(m.real),
-                self.graph.path_sort_key(m.ghost),
-            )
-            _set_key(m, key)
-            _set_key_graph(m, self.graph)
-        return m._key
+        real, ghost = m
+        sort_key = self.graph.path_sort_key
+        return (
+            len(real.edges) + len(ghost.edges),
+            len(ghost.edges),
+            sort_key(real),
+            sort_key(ghost),
+        )
 
     def _check_monomial(self, m: Monomial) -> None:
-        self.graph.require_path(m.real)
-        self.graph.require_path(m.ghost)
+        real, ghost = m.real, m.ghost
+        if real.range != ghost.range:
+            # _make and _replace skip Monomial.__new__; let it refuse them.
+            Monomial(real, ghost)
+        self.graph.require_path(real)
+        self.graph.require_path(ghost)
 
     def _is_reducible(self, m: Monomial) -> bool:
         if not m.real.edges or not m.ghost.edges:
@@ -301,10 +264,9 @@ class LeavittAlgebra:
         """
         key = self._mono_key
         terms: dict[Monomial, object] = {}
+        # Keys tie only for equal monomials, which an entry gets twice when
+        # it cancels and comes back; those compare equal as tuples.
         heap: list = []
-        # Breaks ties between two entries for one monomial, which it gets
-        # when it cancels and comes back; monomials are never compared.
-        tick = count()
 
         def acc(m: Monomial, c) -> None:
             cur = terms.get(m)
@@ -312,7 +274,7 @@ class LeavittAlgebra:
             if total:
                 terms[m] = total
                 if cur is None and self._is_reducible(m):
-                    heappush(heap, (key(m), next(tick), m))
+                    heappush(heap, (key(m), m))
             elif cur is not None:
                 del terms[m]
 
@@ -322,7 +284,7 @@ class LeavittAlgebra:
             acc(m, self.field.coerce(coeff))
         steps = 0
         while heap:
-            m = heappop(heap)[2]
+            m = heappop(heap)[1]
             # Only redexes are pushed, so a live entry is a live redex.
             c = terms.pop(m, None)
             if c is None:

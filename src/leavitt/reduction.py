@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .algebra import AlgebraError, Element, LeavittAlgebra, ZeroElementError
+from .fields import FieldError
 from .graphs import (
     Graph,
     GraphError,
@@ -311,7 +312,7 @@ def verify_witness(x: Element, witness: ReductionWitness) -> bool:
             y = y * gen.element(x.algebra)
         for gen in witness.left:
             y = gen.element(x.algebra) * y
-    except (AlgebraError, GraphError):
+    except (AlgebraError, FieldError, GraphError):
         return False
     return y == target
 
@@ -397,12 +398,21 @@ def witness_to_obj(witness: ReductionWitness, algebra: LeavittAlgebra) -> dict:
     return obj
 
 
+def _names(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        raise AlgebraError("malformed witness object: %s is not a list of strings" % what)
+    return value
+
+
 def witness_from_obj(algebra: LeavittAlgebra, obj: dict) -> ReductionWitness:
-    """Rebuild a certificate from its JSON rendering, validating names."""
+    """Rebuild a certificate from its JSON rendering, validating its shape
+    and names."""
+    if not isinstance(obj, dict):
+        raise AlgebraError("malformed witness object: not an object")
     g = algebra.graph
     try:
-        left = tuple(Generator.from_text(g, t) for t in obj.get("left", ()))
-        right = tuple(Generator.from_text(g, t) for t in obj.get("right", ()))
+        left = tuple(Generator.from_text(g, t) for t in _names(obj.get("left", []), "left"))
+        right = tuple(Generator.from_text(g, t) for t in _names(obj.get("right", []), "right"))
         oc = obj["outcome"]
         kind = oc["kind"]
         if kind == "scalar-vertex":
@@ -410,7 +420,7 @@ def witness_from_obj(algebra: LeavittAlgebra, obj: dict) -> ReductionWitness:
                 algebra.field.parse(oc["coeff"]), g.require_vertex(oc["vertex"])
             )
         elif kind == "cycle-polynomial":
-            cycle = g.path(g.require_vertex(oc["vertex"]), oc["cycle"])
+            cycle = g.path(g.require_vertex(oc["vertex"]), _names(oc["cycle"], "cycle"))
             outcome = CyclePolynomial(
                 oc["vertex"],
                 cycle,

@@ -308,6 +308,7 @@ def test_heap_pops_in_scan_order(algebras):
     algebra = LeavittAlgebra(rose(3))
     x, steps = algebra.normal_form_steps(_cuntz_sum(algebra, 8))
     assert (str(x), steps) == ("1*v", 3280)
+    assert algebra.normal_form_steps(_cuntz_sum(algebra, 5)) == (x, 121)
     # The raw sums of test_normal_form_strategies_agree, drawn in its order.
     rng = random.Random(61)
     samples = []
@@ -322,6 +323,51 @@ def test_heap_pops_in_scan_order(algebras):
         assert algebra.normal_form_steps(pairs) == (
             oracles.normal_form_steps(algebra, pairs, min)
         )
+
+
+def test_one_monomial_sorts_by_each_graphs_order():
+    # The same names declared in two orders: each algebra sorts a shared
+    # monomial object by its own graph, however often it moved between them.
+    first = LeavittAlgebra(Graph(["u", "v", "w"], [("a", "u", "v"), ("b", "u", "w")]))
+    second = LeavittAlgebra(Graph(["u", "w", "v"], [("b", "u", "w"), ("a", "u", "v")]))
+    g = first.graph
+    v, w = (Monomial(g.trivial_path(x), g.trivial_path(x)) for x in "vw")
+    a, b = g.path("u", ["a"]), g.path("u", ["b"])
+    aa, bb = Monomial(a, a), Monomial(b, b)
+    pairs = ((1, v), (1, w), (1, aa))
+    x = first.normal_form(pairs)
+    assert [m for m, _ in x.items()] == [
+        Monomial(g.trivial_path("u"), g.trivial_path("u")), v, w, bb
+    ]
+    assert [c for _, c in x.items()] == [1, 1, 1, -1]
+    y = second.normal_form(pairs)
+    assert [m for m, _ in y.items()] == [w, v, aa]
+    assert first.normal_form(pairs) == x
+    assert second.normal_form(pairs) == y
+
+
+def test_equal_redexes_that_cancel_and_return():
+    algebra = LeavittAlgebra(rose(2))
+    g = algebra.graph
+
+    def redex():
+        return Monomial(g.path("v", ["r2", "r1"]), g.path("v", ["r2", "r1"]))
+
+    m, m2, m3 = redex(), redex(), redex()
+    assert m == m2 == m3 and m is not m2 and m2 is not m3
+    once = algebra.normal_form_steps(((1, m),))
+    assert once[1] > 0
+    assert algebra.normal_form_steps(((1, m), (-1, m2), (1, m3))) == once
+
+
+def test_replaced_monomial_with_split_ranges_is_rejected(algebras):
+    L3 = algebras["L3"]
+    g = L3.graph
+    m = Monomial(g.path("v1", ["a"]), g.path("v1", ["a"]))
+    split = m._replace(ghost=g.trivial_path("v1"))
+    assert type(split) is Monomial
+    with pytest.raises(AlgebraError):
+        L3.element(((1, split),))
 
 
 def test_element_operations_compare_no_graphs(monkeypatch):

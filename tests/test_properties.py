@@ -116,6 +116,10 @@ def test_paths_and_monomials_are_values(data):
     assert _twin_path(a) == a and hash(_twin_path(a)) == hash(a)
     table = {m: "m", n: "n"}
     assert table[twin] == table[m]
+    # Both are tuples: hashing and equality are tuple's own, in C.
+    assert Monomial.__hash__ is tuple.__hash__ and Monomial.__eq__ is tuple.__eq__
+    assert not hasattr(m, "__dict__") and not hasattr(a, "__dict__")
+    assert m == (m.real, m.ghost) and a == _fields(a)
 
     assert repr(a) == repr(_DataPath(*_fields(a)))
     assert repr(m) == repr(

@@ -243,6 +243,11 @@ def test_verify_rejects_tampered_witnesses(algebras):
         ),
     )
     assert not verify_witness(x, ReductionWitness((Generator("ghost", "f"),), wit.right, wit.outcome))
+    # Scalars the algebra's field cannot take: a string, and one of GF(7).
+    assert not verify_witness(x, ReductionWitness((), (), ScalarVertex("1", "v")))
+    assert not verify_witness(
+        x, ReductionWitness((), (), ScalarVertex(PrimeField(7).one(), "v"))
+    )
 
 
 # ----------------------------------------------------------------------
@@ -277,6 +282,25 @@ def test_witness_from_obj_rejects_garbage(algebras):
             W,
             {"outcome": {"kind": "scalar-vertex", "coeff": "x", "vertex": "v"}},
         )
+    # Wrong shapes: not an object, and generator or cycle names that are
+    # not lists of strings (a string would read as one-letter names).
+    scalar = {"kind": "scalar-vertex", "coeff": "1", "vertex": "v"}
+    for obj in (
+        [],
+        "e",
+        {"left": [1], "outcome": scalar},
+        {"left": "e", "outcome": scalar},
+        {"right": "e", "outcome": scalar},
+        {"right": [None], "outcome": scalar},
+    ):
+        with pytest.raises(AlgebraError):
+            witness_from_obj(W, obj)
+    T = algebras["T"]
+    cycle = {"kind": "cycle-polynomial", "vertex": "v", "coeffs": [[1, "1"]]}
+    assert witness_from_obj(T, {"outcome": dict(cycle, cycle=["f"])}).outcome.cycle
+    for names in ("f", [1], None):
+        with pytest.raises(AlgebraError):
+            witness_from_obj(T, {"outcome": dict(cycle, cycle=names)})
 
 
 # ----------------------------------------------------------------------
