@@ -37,7 +37,7 @@ from heapq import heappop, heappush
 from typing import Iterable, Iterator, NamedTuple
 
 from .fields import QQ, FieldError
-from .graphs import Graph, Path
+from .graphs import Graph, Path, _path_layers
 
 
 DEFAULT_STEP_LIMIT = 200_000
@@ -139,21 +139,20 @@ class LeavittAlgebra:
     def zero(self) -> "Element":
         return Element(self, ())
 
-    def one(self) -> "Element":
-        """The sum of all vertices: the identity of the (unital) algebra."""
+    def _vertex_sum(self, vertices: Iterable[str]) -> "Element":
+        """The sum of distinct vertices, given in declaration order."""
         one = self.field.one()
         return Element(
             self,
-            tuple(
-                (Monomial(t, t), one)
-                for v in self.graph.vertices
-                for t in (self.graph.trivial_path(v),)
-            ),
+            tuple((Monomial(t, t), one) for t in map(self.graph.trivial_path, vertices)),
         )
 
+    def one(self) -> "Element":
+        """The sum of all vertices: the identity of the (unital) algebra."""
+        return self._vertex_sum(self.graph.vertices)
+
     def vertex(self, name: str) -> "Element":
-        t = self.graph.trivial_path(name)
-        return Element(self, ((Monomial(t, t), self.field.one()),))
+        return self._vertex_sum((name,))
 
     def edge(self, name: str) -> "Element":
         e = self.graph.edge(name)
@@ -164,12 +163,10 @@ class LeavittAlgebra:
         return self.path_star_element(self.graph.path(e.source, (name,)))
 
     def path_element(self, path: Path) -> "Element":
-        m = Monomial(path, self.graph.trivial_path(path.range))
-        return self.element(((self.field.one(), m),))
+        return self.monomial(path, self.graph.trivial_path(path.range))
 
     def path_star_element(self, path: Path) -> "Element":
-        m = Monomial(self.graph.trivial_path(path.range), path)
-        return self.element(((self.field.one(), m),))
+        return self.monomial(self.graph.trivial_path(path.range), path)
 
     def monomial(self, real: Path, ghost: Path) -> "Element":
         return self.element(((self.field.one(), Monomial(real, ghost)),))
@@ -260,7 +257,8 @@ class LeavittAlgebra:
         It is popped from a heap with lazy deletion: an entry whose monomial
         has since cancelled, or was rewritten already, is skipped, so each
         step costs O(log n). With check false the input monomials are
-        trusted to chain, as products of normal forms do.
+        trusted to chain and the coefficients to be scalars of the field, as
+        in sums and products of normal forms.
         """
         key = self._mono_key
         terms: dict[Monomial, object] = {}
@@ -281,7 +279,8 @@ class LeavittAlgebra:
         for coeff, m in pairs:
             if check:
                 self._check_monomial(m)
-            acc(m, self.field.coerce(coeff))
+                coeff = self.field.coerce(coeff)
+            acc(m, coeff)
         steps = 0
         while heap:
             m = heappop(heap)[1]
@@ -313,17 +312,15 @@ class LeavittAlgebra:
         if len(q) <= len(p):
             if p.edges[: len(q)] != q.edges:
                 return None
-            tail = Path(q.range, p.edges[len(q):], p.range)
             return Monomial(
-                Path(m1.real.source, m1.real.edges + tail.edges, tail.range),
+                Path(m1.real.source, m1.real.edges + p.edges[len(q):], p.range),
                 m2.ghost,
             )
         if q.edges[: len(p)] != p.edges:
             return None
-        tail = Path(p.range, q.edges[len(p):], q.range)
         return Monomial(
             m1.real,
-            Path(m2.ghost.source, m2.ghost.edges + tail.edges, tail.range),
+            Path(m2.ghost.source, m2.ghost.edges + q.edges[len(p):], q.range),
         )
 
     def mono_mul(self, m1: Monomial, m2: Monomial) -> "Element":
@@ -343,15 +340,11 @@ class LeavittAlgebra:
         demand so that an early-exiting consumer never pays for the long
         ones.
         """
-        g = self.graph
-        layers = [[g.trivial_path(vertex)]]
+        grow = _path_layers(self.graph, vertex)
+        layers = [next(grow)]
         for total in range(max_total_length + 1):
             if total:
-                # One source and length: shortlex is lexicographic in the
-                # edges, so extending in out-edge order keeps a layer sorted.
-                layers.append(
-                    [g.extend(p, e) for p in layers[-1] for e in g.out_edges(p.range)]
-                )
+                layers.append(next(grow))
             for ghost_len in range(total + 1):
                 for p in layers[total - ghost_len]:
                     for q in layers[ghost_len]:
@@ -464,9 +457,7 @@ class Element:
 
     def degree(self) -> int:
         """The top degree with a nonzero coefficient."""
-        if not self._terms:
-            raise ZeroElementError("the zero element has no degree")
-        return max(m.degree for m, _ in self._terms)
+        return self.degree_range()[1]
 
     def degree_range(self) -> tuple[int, int]:
         if not self._terms:
@@ -482,16 +473,8 @@ class Element:
 
     def local_unit(self) -> "Element":
         """The smallest vertex sum u with u x = x u = x; zero for x = 0."""
-        if not self._terms:
-            return Element(self.algebra, ())
-        needed = {m.real.source for m, _ in self._terms}
-        needed.update(m.ghost.source for m, _ in self._terms)
-        one = self.algebra.field.one()
-        out = []
-        for v in self.algebra.graph.sorted_vertices(needed):
-            t = self.algebra.graph.trivial_path(v)
-            out.append((Monomial(t, t), one))
-        return Element(self.algebra, tuple(out))
+        needed = {v for m, _ in self._terms for v in (m.real.source, m.ghost.source)}
+        return self.algebra._vertex_sum(self.algebra.graph.sorted_vertices(needed))
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -518,18 +501,13 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same(other)
-        # Sums of normal forms are normal: merging cannot create a redex.
-        merged = dict(self._terms)
-        for m, c in other._terms:
-            total = merged.get(m)
-            total = c if total is None else total + c
-            if total:
-                merged[m] = total
-            else:
-                merged.pop(m, None)
-        key = self.algebra._mono_key
-        ordered = tuple(sorted(merged.items(), key=lambda kv: key(kv[0])))
-        return Element(self.algebra, ordered)
+        # A sum of normal forms has no redex, so nothing is rewritten.
+        terms, _ = self.algebra._normalize(
+            ((c, m) for m, c in self._terms + other._terms),
+            DEFAULT_STEP_LIMIT,
+            check=False,
+        )
+        return Element(self.algebra, terms)
 
     def __neg__(self) -> "Element":
         return Element(self.algebra, tuple((m, -c) for m, c in self._terms))

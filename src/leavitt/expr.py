@@ -82,6 +82,14 @@ class _Parser:
         self.at += 1
         return tok
 
+    def _take_if(self, values: str, kind: str = "op") -> tuple[str, str, int] | None:
+        """Take the next token when it is of the kind and one of the values."""
+        tok = self._peek()
+        if tok is not None and tok[0] == kind and tok[1] in values:
+            self.at += 1
+            return tok
+        return None
+
     def _take_op(self, op: str) -> tuple[str, str, int]:
         tok = self._take()
         if tok[0] != "op" or tok[1] != op:
@@ -94,21 +102,14 @@ class _Parser:
             raise ExprParseError("unexpected %r" % tok[1], tok[2])
 
     def parse_expr(self) -> Element:
-        negate = False
-        tok = self._peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "-":
-            self._take()
-            negate = True
+        negate = self._take_if("-") is not None
         total = self.parse_term()
         if negate:
             total = -total
-        while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                return total
-            self._take()
+        while (tok := self._take_if("+-")) is not None:
             term = self.parse_term()
             total = total + term if tok[1] == "+" else total - term
+        return total
 
     def _at_factor(self) -> bool:
         tok = self._peek()
@@ -116,72 +117,48 @@ class _Parser:
             tok[0] == "name" or (tok[0] == "op" and tok[1] == "(")
         )
 
+    def _skip_times(self) -> None:
+        """Take an optional '*', which must be followed by a factor."""
+        tok = self._take_if("*")
+        if tok is not None and not self._at_factor():
+            raise ExprParseError("expected a name or '(' after '*'", tok[2])
+
     def parse_term(self) -> Element:
         coeff = None
         tok = self._peek()
         if tok is not None and tok[0] == "int":
             coeff = self.parse_scalar()
-            tok = self._peek()
-            if tok is not None and tok[0] == "op" and tok[1] == "*":
-                star_pos = tok[2]
-                self._take()
-                if not self._at_factor():
-                    raise ExprParseError("expected a name or '(' after '*'", star_pos)
+            self._skip_times()
         result = None
-        while True:
-            if self._at_factor():
-                factor = self.parse_factor()
-                result = factor if result is None else result * factor
-                tok = self._peek()
-                if tok is not None and tok[0] == "op" and tok[1] == "*":
-                    star_pos = tok[2]
-                    self._take()
-                    if not self._at_factor():
-                        raise ExprParseError(
-                            "expected a name or '(' after '*'", star_pos
-                        )
-                    continue
-                continue
-            break
+        while self._at_factor():
+            factor = self.parse_factor()
+            result = factor if result is None else result * factor
+            self._skip_times()
+        if result is None and coeff is None:
+            tok = self._peek()
+            pos = tok[2] if tok else len(self.text)
+            got = repr(tok[1]) if tok else "end of expression"
+            raise ExprParseError("expected a term, got %s" % got, pos)
         if result is None:
-            if coeff is None:
-                tok = self._peek()
-                pos = tok[2] if tok else len(self.text)
-                got = repr(tok[1]) if tok else "end of expression"
-                raise ExprParseError("expected a term, got %s" % got, pos)
-            return self.algebra.one()._scaled(coeff)
-        if coeff is not None:
-            return result._scaled(coeff)
-        return result
+            result = self.algebra.one()
+        return result if coeff is None else result._scaled(coeff)
 
     def parse_factor(self) -> Element:
         tok = self._take()
         if tok[0] == "name":
             base = self._resolve(tok[1], tok[2])
-            starred = self._maybe_star()
-            if starred:
-                return base.involution()
-            return base
-        if tok[0] == "op" and tok[1] == "(":
+        elif tok[0] == "op" and tok[1] == "(":
             if self.depth == _MAX_NESTING:
                 raise ExprParseError(
                     "parentheses nested more than %d deep" % _MAX_NESTING, tok[2]
                 )
             self.depth += 1
-            inner = self.parse_expr()
+            base = self.parse_expr()
             self._take_op(")")
             self.depth -= 1
-            if self._maybe_star():
-                return inner.involution()
-            return inner
-        raise ExprParseError("expected a name or '(', got %r" % tok[1], tok[2])
-
-    def _maybe_star(self) -> bool:
-        tok = self._peek()
-        if tok is not None and tok[0] == "star":
-            self._take()
-            return True
-        return False
+        else:
+            raise ExprParseError("expected a name or '(', got %r" % tok[1], tok[2])
+        return base.involution() if self._take_if("^*", "star") else base
 
     def _resolve(self, name: str, pos: int) -> Element:
         graph = self.algebra.graph
@@ -204,9 +181,7 @@ class _Parser:
         tok = self._take()
         num = self._int(tok)
         pos = tok[2]
-        nxt = self._peek()
-        if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
-            self._take()
+        if self._take_if("/") is not None:
             den_tok = self._take()
             if den_tok[0] != "int":
                 raise ExprParseError("expected an integer denominator", den_tok[2])

@@ -68,24 +68,32 @@ class GFElement:
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", self.value % self.p)
 
-    def _check(self, other: "GFElement") -> None:
-        if not isinstance(other, GFElement) or other.p != self.p:
+    def _same_field(self, other) -> bool:
+        # False for an operand that is no GF(p) scalar, whose reflected
+        # operator Python then tries: an algebra element scales itself.
+        same = isinstance(other, GFElement)
+        if same and other.p != self.p:
             raise FieldError("mixed scalars from different fields")
+        return same
 
     def __add__(self, other: "GFElement") -> "GFElement":
-        self._check(other)
+        if not self._same_field(other):
+            return NotImplemented
         return GFElement(self.value + other.value, self.p)
 
     def __sub__(self, other: "GFElement") -> "GFElement":
-        self._check(other)
+        if not self._same_field(other):
+            return NotImplemented
         return GFElement(self.value - other.value, self.p)
 
     def __mul__(self, other: "GFElement") -> "GFElement":
-        self._check(other)
+        if not self._same_field(other):
+            return NotImplemented
         return GFElement(self.value * other.value, self.p)
 
     def __truediv__(self, other: "GFElement") -> "GFElement":
-        self._check(other)
+        if not self._same_field(other):
+            return NotImplemented
         if other.value == 0:
             raise FieldError("division by zero in GF(%d)" % self.p)
         # Fermat inverse; p is prime.

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphError(Exception):
@@ -253,10 +254,7 @@ class Graph:
 
     def sorted_vertices(self, subset: Iterable[str]) -> tuple[str, ...]:
         """The given vertices in declaration order, validated."""
-        vs = set(subset)
-        for v in vs:
-            self.require_vertex(v)
-        return tuple(sorted(vs, key=self._vindex.__getitem__))
+        return tuple(sorted(_vertex_set(self, subset), key=self._vindex.__getitem__))
 
 
 # ----------------------------------------------------------------------
@@ -329,9 +327,7 @@ def tree(graph: Graph, vertices: str | Iterable[str]) -> frozenset[str]:
 
     Accepts a single vertex name or any iterable of names.
     """
-    seeds = [vertices] if isinstance(vertices, str) else list(vertices)
-    for v in seeds:
-        graph.require_vertex(v)
+    seeds = _vertex_set(graph, [vertices] if isinstance(vertices, str) else vertices)
     seen = set(seeds)
     stack = list(seeds)
     while stack:
@@ -392,6 +388,7 @@ def line_points(graph: Graph) -> tuple[str, ...]:
 # ----------------------------------------------------------------------
 
 def _vertex_set(graph: Graph, subset: Iterable[str]) -> frozenset[str]:
+    """The given vertices as a set, each checked to be in the graph."""
     vs = frozenset(subset)
     for v in vs:
         graph.require_vertex(v)
@@ -454,12 +451,21 @@ def require_cycle(graph: Graph, path: Path) -> Path:
     return path
 
 
+def _first_bifurcation(graph: Graph, path: Path) -> int | None:
+    """The index of the first edge of the path whose source is a
+    bifurcation, or None when there is none."""
+    for i, name in enumerate(path.edges):
+        if graph.out_degree(graph.edge(name).source) >= 2:
+            return i
+    return None
+
+
 def cycle_has_exit(graph: Graph, cycle: Path) -> bool:
     """Whether some edge leaves a cycle vertex without being the cycle's
     own continuation. A simple cycle uses exactly one out-edge per vertex,
     so this is an out-degree check."""
     require_cycle(graph, cycle)
-    return any(graph.out_degree(v) >= 2 for v in graph.path_vertices(cycle)[:-1])
+    return _first_bifurcation(graph, cycle) is not None
 
 
 def condition_L(graph: Graph) -> bool:
@@ -627,7 +633,8 @@ def hedgehog_graph(
     of them and the result is complete. The vertices outside the set that
     reach it come from one backward search. A negative bound is an error.
     """
-    h = _vertex_set(graph, subset)
+    ideal = graph.sorted_vertices(subset)
+    h = frozenset(ideal)
     if not is_hereditary(graph, h):
         raise SubsetError("subset is not hereditary")
     if depth_bound is None:
@@ -647,7 +654,7 @@ def hedgehog_graph(
     spines = [p for p in probed if len(p) <= depth_bound]
     complete = blocking is None and len(spines) == len(probed)
 
-    vertices = list(graph.sorted_vertices(h))
+    vertices = list(ideal)
     edges = [e for e in graph.edges if e.source in h]
     entry_names = []
     for p in spines:
@@ -659,7 +666,7 @@ def hedgehog_graph(
         raise SubsetError("hedgehog of the empty set is empty")
     return HedgehogGraph(
         graph=Graph(vertices, edges),
-        ideal_part=graph.sorted_vertices(h),
+        ideal_part=ideal,
         entry_part=tuple(entry_names),
         complete=complete,
         blocking_cycle=blocking,
@@ -670,20 +677,20 @@ def hedgehog_graph(
 # enumeration and output
 # ----------------------------------------------------------------------
 
+def _path_layers(graph: Graph, source: str) -> Iterator[list[Path]]:
+    """The paths from the source, one layer per length, each built when
+    asked for. A layer has one source and length, so shortlex order on it
+    is lexicographic in the edges, which extending in out-edge order keeps."""
+    layer = [graph.trivial_path(source)]
+    while True:
+        yield layer
+        layer = [graph.extend(p, e) for p in layer for e in graph.out_edges(p.range)]
+
+
 def paths_from_by_length(graph: Graph, source: str, max_length: int) -> list[list[Path]]:
     """Layered path enumeration: layer l holds all paths of length l from
     the source, in lexicographic order by edge declaration."""
-    graph.require_vertex(source)
-    layers = [[graph.trivial_path(source)]]
-    for _ in range(max_length):
-        layers.append(
-            [
-                Path(p.source, p.edges + (e.name,), e.range)
-                for p in layers[-1]
-                for e in graph.out_edges(p.range)
-            ]
-        )
-    return layers
+    return list(islice(_path_layers(graph, source), max(max_length, 0) + 1))
 
 
 def _dot_id(name: str) -> str:

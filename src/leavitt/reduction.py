@@ -40,6 +40,7 @@ from .graphs import (
     hereditary_saturated_closure,
     line_points,
     require_cycle,
+    _first_bifurcation,
     _reaching,
 )
 
@@ -143,13 +144,15 @@ def realify(x: Element) -> tuple[Path, Element]:
 def _common_closed_root(graph: Graph, paths: list[Path]) -> Path | None:
     """The closed path with every given path a positive power of it.
 
-    The candidate is the length-gcd prefix of the canonically first path;
-    if that is closed and every path is a repetition of it, it is the root.
+    The paths must come in shortlex order, as the real parts of a real
+    normal form do. The candidate is the length-gcd prefix of the first
+    path; if that is closed and every path is a repetition of it, it is the
+    root.
     """
     g = 0
     for p in paths:
         g = gcd(g, len(p))
-    first = min(paths, key=graph.path_sort_key)
+    first = paths[0]
     prefix = first.edges[:g]
     root = graph.path(first.source, prefix)
     if root.range != root.source:
@@ -158,13 +161,6 @@ def _common_closed_root(graph: Graph, paths: list[Path]) -> Path | None:
         if p.edges != prefix * (len(p) // g):
             return None
     return root
-
-
-def _first_bifurcation(graph: Graph, path: Path) -> int | None:
-    for i, name in enumerate(path.edges):
-        if graph.out_degree(graph.edge(name).source) >= 2:
-            return i
-    return None
 
 
 def reduce(x: Element) -> ReductionWitness:
@@ -177,7 +173,8 @@ def reduce(x: Element) -> ReductionWitness:
     right: list[Generator] = []
 
     nu, y = realify(x)
-    if x * alg.vertex(nu.source) != x:
+    # x v = x exactly when every ghost part of x starts at v.
+    if any(m.ghost.source != nu.source for m, _ in x.items()):
         right.append(Generator("vertex", nu.source))
     right.extend(Generator("edge", name) for name in nu.edges)
 
@@ -207,8 +204,10 @@ def reduce(x: Element) -> ReductionWitness:
         terms = y.items()
         if len(terms) == 1:
             continue
+        # y is real, and normal-form order on real terms is shortlex on
+        # their paths: the first path is the canonically first shortest one.
         paths = [m.real for m, _ in terms]
-        shortest = min(paths, key=g.path_sort_key)
+        shortest = paths[0]
         if not shortest.is_trivial:
             # Strip the canonically first shortest path. Its own term turns
             # into a vertex term, longer paths lose it as a prefix or die;
@@ -224,7 +223,7 @@ def reduce(x: Element) -> ReductionWitness:
             # Conjugate by the first edge of the canonically first closed
             # path: aligned paths rotate, the rest die. Misalignment must
             # surface within bounded rounds, else a common root existed.
-            first = min(closed, key=g.path_sort_key).edges[0]
+            first = closed[0].edges[0]
             left.append(Generator("ghost", first))
             right.append(Generator("edge", first))
             y = alg.ghost(first) * y * alg.edge(first)
@@ -404,27 +403,38 @@ def _names(value, what: str) -> list:
     return value
 
 
+def _typed(value, kind: type, what: str):
+    # bool is a subclass of int, so JSON true would pass as an exponent.
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise AlgebraError(
+        "malformed witness object: %s %r is a %s" % (what, value, type(value).__name__)
+    )
+
+
 def witness_from_obj(algebra: LeavittAlgebra, obj: dict) -> ReductionWitness:
     """Rebuild a certificate from its JSON rendering, validating its shape
     and names."""
     if not isinstance(obj, dict):
         raise AlgebraError("malformed witness object: not an object")
     g = algebra.graph
+
+    def coeff(text):
+        return algebra.field.parse(_typed(text, str, "coefficient"))
+
     try:
         left = tuple(Generator.from_text(g, t) for t in _names(obj.get("left", []), "left"))
         right = tuple(Generator.from_text(g, t) for t in _names(obj.get("right", []), "right"))
         oc = obj["outcome"]
         kind = oc["kind"]
         if kind == "scalar-vertex":
-            outcome = ScalarVertex(
-                algebra.field.parse(oc["coeff"]), g.require_vertex(oc["vertex"])
-            )
+            outcome = ScalarVertex(coeff(oc["coeff"]), g.require_vertex(oc["vertex"]))
         elif kind == "cycle-polynomial":
             cycle = g.path(g.require_vertex(oc["vertex"]), _names(oc["cycle"], "cycle"))
             outcome = CyclePolynomial(
                 oc["vertex"],
                 cycle,
-                tuple((int(e), algebra.field.parse(c)) for e, c in oc["coeffs"]),
+                tuple((_typed(e, int, "exponent"), coeff(c)) for e, c in oc["coeffs"]),
             )
         else:
             raise AlgebraError("unknown outcome kind %r" % kind)

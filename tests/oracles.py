@@ -4,8 +4,10 @@ Each function follows the definition it implements as directly as it can:
 trees are recomputed per vertex, cycles are enumerated one by one or
 searched for to full depth from every anchor, the closure is iterated to a
 fixpoint and taken once per vertex for simplicity, paths are listed from
-every vertex, normalization scans its live redexes on every step, and
-reduction multiplies by every vertex to find where an element starts.
+every vertex, normalization scans its live redexes on every step, sums
+merge their terms in a dict and sort them again, reduction multiplies by
+every vertex to find where an element starts, and membership in a sum of
+left ideals multiplies by the vertex sum.
 They are exponential or polynomial of high degree, so tests run them on
 small inputs only.
 """
@@ -360,6 +362,39 @@ def normal_form_steps(
         steps += 1
     ordered = sorted(terms.items(), key=lambda kv: algebra._mono_key(kv[0]))
     return Element(algebra, tuple(ordered)), steps
+
+
+def add(x: Element, y: Element) -> Element:
+    """x + y by a dict merge of the terms and a sort by the monomial key."""
+    x._require_same(y)
+    # Sums of normal forms are normal: merging cannot create a redex.
+    merged = dict(x._terms)
+    for m, c in y._terms:
+        total = merged.get(m)
+        total = c if total is None else total + c
+        if total:
+            merged[m] = total
+        else:
+            merged.pop(m, None)
+    key = x.algebra._mono_key
+    ordered = tuple(sorted(merged.items(), key=lambda kv: key(kv[0])))
+    return Element(x.algebra, ordered)
+
+
+def left_ideal_sum_membership(x: Element, vertices: Iterable[str]) -> bool:
+    """Whether x lies in the sum of the left ideals A·u over the given u.
+
+    Right multiplication by the idempotent sum of distinct vertices fixes
+    exactly the elements of the sum.
+    """
+    algebra = x.algebra
+    names = _vertex_set(algebra.graph, vertices)
+    if not names:
+        raise SubsetError("membership in an empty sum of left ideals")
+    u = algebra.zero()
+    for v in algebra.graph.sorted_vertices(names):
+        u = u + algebra.vertex(v)
+    return x * u == x
 
 
 def realify(x: Element) -> tuple[Path, Element]:

@@ -12,6 +12,7 @@ from leavitt import (
     Monomial,
     Path,
     PrimeField,
+    QQ,
     ZeroElementError,
     parse_element,
     special_edges,
@@ -120,6 +121,15 @@ def test_additive_structure(algebras):
         assert 0 * x == W.zero()
         assert 2 * x == x + x
         assert x * Fraction(1, 2) + x * Fraction(1, 2) == x
+    # Sums agree term for term with the dict-merge oracle, over Q and GF(5).
+    for graph in (algebra.graph for algebra in algebras.values()):
+        for field in (QQ, PrimeField(5)):
+            algebra = LeavittAlgebra(graph, field)
+            for _ in range(10):
+                x = random_element(rng, algebra)
+                y = random_element(rng, algebra)
+                assert (x + y).items() == oracles.add(x, y).items()
+                assert (x - x).items() == oracles.add(x, -x).items() == ()
 
 
 def test_multiplication_is_associative_and_distributive(algebras):
@@ -476,4 +486,9 @@ def test_prime_field_normal_forms(graphs):
     algebra = LeavittAlgebra(graphs["W"], PrimeField(2))
     e = algebra.edge("e")
     assert e + e == algebra.zero()
+    # A GF(p) scalar scales from either side, as ints and fractions do.
+    F = PrimeField(7)
+    x = parse_element(LeavittAlgebra(graphs["LS"], F), "2 u + 3 c e e^* - c^*")
+    three = F.from_int(3)
+    assert three * x == x * three == 3 * x
     assert e * e.involution() == parse_element(algebra, "z + f f^*")

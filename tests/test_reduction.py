@@ -301,6 +301,21 @@ def test_witness_from_obj_rejects_garbage(algebras):
     for names in ("f", [1], None):
         with pytest.raises(AlgebraError):
             witness_from_obj(T, {"outcome": dict(cycle, cycle=names)})
+    # Numbers of another JSON type than witness_to_obj writes: exponents
+    # are integers and coefficients strings, over Q and GF(p) alike.
+    cycle = dict(cycle, cycle=["f"])
+    for algebra in (T, LeavittAlgebra(T.graph, PrimeField(5))):
+        one = algebra.field.one()
+        assert witness_from_obj(algebra, {"outcome": scalar}).outcome.coeff == one
+        assert witness_from_obj(algebra, {"outcome": cycle}).outcome.coeffs == ((1, one),)
+        for wrong in (1.5, True, 1):
+            with pytest.raises(AlgebraError, match="malformed witness object"):
+                witness_from_obj(algebra, {"outcome": dict(scalar, coeff=wrong)})
+            with pytest.raises(AlgebraError, match="malformed witness object"):
+                witness_from_obj(algebra, {"outcome": dict(cycle, coeffs=[[1, wrong]])})
+        for wrong in (1.5, "2", True, None):
+            with pytest.raises(AlgebraError, match="malformed witness object"):
+                witness_from_obj(algebra, {"outcome": dict(cycle, coeffs=[[wrong, "1"]])})
 
 
 # ----------------------------------------------------------------------

@@ -134,7 +134,8 @@ def test_membership_in_vertex_ideal_sums(algebras):
 
 def test_membership_matches_ghost_source_support(algebras):
     rng = random.Random(97)
-    for algebra in algebras.values():
+    over_gf5 = [LeavittAlgebra(a.graph, PrimeField(5)) for a in algebras.values()]
+    for algebra in list(algebras.values()) + over_gf5:
         vertices = algebra.graph.vertices
         for _ in range(30):
             x = random_element(rng, algebra)
@@ -145,6 +146,7 @@ def test_membership_matches_ghost_source_support(algebras):
                 m.ghost.source in picked for m, _ in x.items()
             )
             assert left_ideal_sum_membership(x, picked) is expected
+            assert oracles.left_ideal_sum_membership(x, picked) is expected
 
 
 # ----------------------------------------------------------------------
