@@ -395,6 +395,18 @@ def _vertex_set(graph: Graph, subset: Iterable[str]) -> frozenset[str]:
     return vs
 
 
+def _depth_bound(graph: Graph, depth_bound: int | None) -> int:
+    """A hedgehog depth bound, vertex count + 1 when None, checked to be a
+    nonnegative int (a bool is not one)."""
+    if depth_bound is None:
+        return len(graph.vertices) + 1
+    if not isinstance(depth_bound, int) or isinstance(depth_bound, bool):
+        raise GraphError("hedgehog depth bound %r is not an integer" % (depth_bound,))
+    if depth_bound < 0:
+        raise GraphError("negative hedgehog depth bound %d" % depth_bound)
+    return depth_bound
+
+
 def is_hereditary(graph: Graph, subset: Iterable[str]) -> bool:
     """Closed under ranges: an edge out of the set cannot leave it."""
     h = _vertex_set(graph, subset)
@@ -544,26 +556,24 @@ def entry_paths(graph: Graph, subset: Iterable[str], max_length: int) -> list[Pa
 
     A path e1 ... en qualifies when its range lies in the set and every
     earlier vertex (source included) lies outside. Results are sorted
-    shortlex; lengths run up to max_length.
+    shortlex; lengths run up to max_length. Starting from the trivial paths
+    in the set, each round prepends the in-edges from outside it, so no
+    path longer than max_length is built.
     """
     h = _vertex_set(graph, subset)
-    layer = [
-        Path(e.source, (e.name,), e.range)
-        for e in graph.edges
-        if e.source not in h and e.range in h
-    ]
+    layer = [Path(v, (), v) for v in h]
     found: list[Path] = []
-    length = 1
-    while layer and length <= max_length:
-        layer.sort(key=graph.path_sort_key)
-        found.extend(layer)
+    for _ in range(max_length):
         layer = [
             Path(e.source, (e.name,) + p.edges, p.range)
             for p in layer
             for e in graph.in_edges(p.source)
             if e.source not in h
         ]
-        length += 1
+        if not layer:
+            break
+        layer.sort(key=graph.path_sort_key)
+        found.extend(layer)
     return found
 
 
@@ -628,31 +638,27 @@ def hedgehog_graph(
 ) -> HedgehogGraph:
     """Attach a spine vertex and edge for each path entering a hereditary set.
 
-    With no cycle outside the set reaching it, entry paths cannot revisit a
-    vertex, so the default depth bound (vertex count + 1) captures every one
-    of them and the result is complete. The vertices outside the set that
-    reach it come from one backward search. A negative bound is an error.
+    The spines are the entry paths up to the depth bound (vertex count + 1
+    when omitted, else a nonnegative int). As the set is hereditary, an entry path is a path ending
+    at the source of an edge into it plus that edge, so the path counts at
+    those sources add up to their number, finite exactly when no blocking
+    cycle (found by one backward search) reaches the set. The result is
+    complete when the spines reach that number.
     """
     ideal = graph.sorted_vertices(subset)
     h = frozenset(ideal)
     if not is_hereditary(graph, h):
         raise SubsetError("subset is not hereditary")
-    if depth_bound is None:
-        depth_bound = len(graph.vertices) + 1
-    if depth_bound < 0:
-        raise GraphError("negative hedgehog depth bound %d" % depth_bound)
+    depth_bound = _depth_bound(graph, depth_bound)
 
     counts = _path_counts(graph)
     blocking = _first_cycle(
         graph, {v for v in _reaching(graph, h, set()) - h if counts[v] is None}
     )
-
-    # Every entry path of length l+1 extends one of length l, so the
-    # enumeration has no gaps: one probe layer past the bound settles
-    # completeness.
-    probed = entry_paths(graph, h, depth_bound + 1)
-    spines = [p for p in probed if len(p) <= depth_bound]
-    complete = blocking is None and len(spines) == len(probed)
+    spines = entry_paths(graph, h, depth_bound)
+    complete = blocking is None and len(spines) == sum(
+        counts[e.source] for e in graph.edges if e.source not in h and e.range in h
+    )
 
     vertices = list(ideal)
     edges = [e for e in graph.edges if e.source in h]

@@ -27,6 +27,7 @@ from .graphs import (
     is_acyclic,
     line_points,
     quotient_graph,
+    _depth_bound,
     _path_counts,
     _vertex_set,
 )
@@ -138,10 +139,12 @@ def socle_structure(graph: Graph, depth_bound: int | None = None) -> SocleReport
     Each sink w inside H contributes one matrix summand whose size is the
     number of paths ending at w, the trivial one included, infinite when a
     cycle reaches w. The hedgehog graph of H is built with the given depth
-    bound (vertex count + 1 when omitted); the structure theorem makes it
+    bound (vertex count + 1 when omitted, checked even when H is empty, as
+    in hedgehog_graph); the structure theorem makes it
     acyclic, truncations included, and the tests check that at several
     bounds.
     """
+    depth_bound = _depth_bound(graph, depth_bound)
     pl = line_points(graph)
     h = hereditary_saturated_closure(graph, pl)
     counts = _path_counts(graph)

@@ -32,7 +32,6 @@ from leavitt.graphs import (
     SubsetError,
     _vertex_set,
     condition_L,
-    entry_paths,
     is_bifurcation,
     is_hereditary,
     paths_from_by_length,
@@ -190,12 +189,29 @@ def first_cycle(graph: Graph, allowed: set[str]) -> Path | None:
     return best
 
 
+def entry_paths(graph: Graph, subset: Iterable[str], max_length: int) -> list[Path]:
+    """Every path from every vertex outside the set, up to max_length,
+    kept when its last vertex and only that one lies in the set; sorted
+    shortlex."""
+    h = _vertex_set(graph, subset)
+    found = [
+        p
+        for v in graph.vertices
+        if v not in h
+        for layer in paths_from_by_length(graph, v, max_length)
+        for p in layer
+        if p.range in h and not h.intersection(graph.path_vertices(p)[:-1])
+    ]
+    return sorted(found, key=graph.path_sort_key)
+
+
 def hedgehog_graph(
     graph: Graph, subset: Iterable[str], depth_bound: int | None = None
 ) -> HedgehogGraph:
     """The hedgehog with its blocking cycle picked from every simple cycle:
     the first, shortlex, all of whose vertices lie outside the set and
-    reach it."""
+    reach it; and with its completeness probed by one more layer of entry
+    paths than the bound keeps."""
     h = _vertex_set(graph, subset)
     if not is_hereditary(graph, h):
         raise SubsetError("subset is not hereditary")

@@ -268,7 +268,7 @@ def test_depth_must_be_nonnegative(capsys, tmp_path):
 
 def test_socle_enumerates_no_spines(capsys, tmp_path, monkeypatch):
     """K6 with loops plus a sink has 335,923 entry paths at the default
-    depth; socle asks for none longer than one edge."""
+    depth; socle asks for none."""
     names = ["k%d" % i for i in range(6)]
     path = tmp_path / "k6.graph"
     path.write_text(
@@ -294,7 +294,7 @@ def test_socle_enumerates_no_spines(capsys, tmp_path, monkeypatch):
     ))
     rc, out, _ = run(capsys, "socle", str(path), "--format", "json")
     assert rc == 0 and json.loads(out)["summands"] == ["inf"]
-    assert asked and max(asked) <= 1
+    assert asked and max(asked) == 0
 
 
 def test_output_is_deterministic(capsys, write_graph):

@@ -453,7 +453,10 @@ def test_hedgehog_rejects_a_negative_depth():
     g = parse_graph(
         "vertices: x y s\nedge a: x -> y\nedge b: x -> s\nedge c: y -> y\n"
     )
-    with pytest.raises(GraphError):
+    for bad in ("3", 1.5, True, False):
+        with pytest.raises(GraphError):
+            hedgehog_graph(g, {"s"}, depth_bound=bad)
+    with pytest.raises(GraphError, match="negative hedgehog depth bound -1"):
         hedgehog_graph(g, {"s"}, depth_bound=-1)
     shallow = hedgehog_graph(g, {"s"}, depth_bound=0)
     assert not shallow.complete and shallow.entry_part == ()
@@ -553,8 +556,11 @@ def test_sweeps_match_the_oracles():
             with pytest.raises(SubsetError):
                 hedgehog_graph(g, h)
             continue
-        hh = hedgehog_graph(g, h)
-        assert hh == oracles.hedgehog_graph(g, h)
+        for depth in (0, 1, 2, None):
+            bound = len(g.vertices) + 1 if depth is None else depth
+            assert entry_paths(g, h, bound) == oracles.entry_paths(g, h, bound)
+            hh = hedgehog_graph(g, h, depth)
+            assert hh == oracles.hedgehog_graph(g, h, depth)
         blocked += hh.blocking_cycle is not None
     # The cycle-heavy family must actually exercise the blocking cycle.
     assert blocked >= 100

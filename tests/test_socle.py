@@ -4,12 +4,14 @@ import pytest
 
 from leavitt import (
     CyclicGraphError,
+    Graph,
     GraphError,
     LeavittAlgebra,
     MixedContextError,
     PrimeField,
     QQ,
     SubsetError,
+    entry_paths,
     in_socle,
     is_acyclic,
     left_ideal_sum_membership,
@@ -190,8 +192,49 @@ def test_structure_hedgehog_truncation(graphs):
     assert is_acyclic(hh.graph)
     deeper = socle_structure(graphs["LS"], depth_bound=5)
     assert len(deeper.hedgehog.entry_part) == 5
-    with pytest.raises(GraphError):
-        socle_structure(graphs["LS"], depth_bound=-1)
+    # R2 has no sink, so H is empty and no hedgehog is built; the bound is
+    # checked all the same.
+    for name in ("LS", "R2"):
+        for bad in ("3", 1.5, True):
+            with pytest.raises(GraphError):
+                socle_structure(graphs[name], depth_bound=bad)
+        with pytest.raises(GraphError, match="negative hedgehog depth bound -1"):
+            socle_structure(graphs[name], depth_bound=-1)
+    assert socle_structure(graphs["R2"], depth_bound=0).hedgehog is None
+
+
+def test_structure_builds_each_spine_once(monkeypatch):
+    """K5 without loops plus an edge into a sink s has 4^(l-1) entry paths
+    of length l: 5,461 up to the default bound 7. Each is sorted once, and
+    only the paths shorter than the bound are extended."""
+    names = ["k%d" % i for i in range(5)]
+    g = parse_graph(
+        "vertices: %s s\n" % " ".join(names)
+        + "".join(
+            "edge %s_%s: %s -> %s\n" % (u, v, u, v)
+            for u in names for v in names if u != v
+        )
+        + "edge out: k0 -> s\n"
+    )
+
+    def count(name):
+        calls = []
+        method = getattr(Graph, name)
+
+        def counted(self, *args):
+            calls.append(args)
+            return method(self, *args)
+
+        monkeypatch.setattr(Graph, name, counted)
+        return calls
+
+    keys = count("path_sort_key")
+    hh = socle_structure(g).hedgehog
+    assert len(hh.entry_part) == len(keys) == 5461
+    assert not hh.complete
+    edges_asked = count("in_edges")
+    assert len(entry_paths(g, {"s"}, 7)) == 5461
+    assert len(edges_asked) <= 1366
 
 
 def test_summand_texts_mixes_finite_and_infinite(graphs):
