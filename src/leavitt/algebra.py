@@ -231,23 +231,25 @@ class LeavittAlgebra:
         others end in non-special edges, so they are not reducible again at
         the tail.
         """
-        gname = m.real.edges[-1]
+        real, ghost = m
+        gname = real.edges[-1]
         v = self.graph.edge(gname).source
-        preal = Path(m.real.source, m.real.edges[:-1], v)
-        pghost = Path(m.ghost.source, m.ghost.edges[:-1], v)
-        out = [(1, Monomial(preal, pghost))]
-        for e in self.graph.out_edges(v):
+        rsrc, redges = real.source, real.edges[:-1]
+        gsrc, gedges = ghost.source, ghost.edges[:-1]
+        # The pieces chain by construction, so they skip the checking
+        # constructors.
+        new = tuple.__new__
+        shorter = (new(Path, (rsrc, redges, v)), new(Path, (gsrc, gedges, v)))
+        out = [(1, new(Monomial, shorter))]
+        for e in self.graph._out[v]:
             if e.name == gname:
                 continue
-            out.append(
-                (
-                    -1,
-                    Monomial(
-                        Path(preal.source, preal.edges + (e.name,), e.range),
-                        Path(pghost.source, pghost.edges + (e.name,), e.range),
-                    ),
-                )
+            tail = (e.name,)
+            parts = (
+                new(Path, (rsrc, redges + tail, e.range)),
+                new(Path, (gsrc, gedges + tail, e.range)),
             )
+            out.append((-1, new(Monomial, parts)))
         return out
 
     def _normalize(self, pairs, max_steps, check=True):
@@ -290,8 +292,9 @@ class LeavittAlgebra:
                 continue
             if steps >= max_steps:
                 raise AlgebraError("normalization exceeded %d steps" % max_steps)
+            neg = -c
             for sign, piece in self._rewrite(m):
-                acc(piece, c if sign > 0 else -c)
+                acc(piece, c if sign > 0 else neg)
             steps += 1
         ordered = tuple(sorted(terms.items(), key=lambda kv: key(kv[0])))
         return ordered, steps
@@ -309,19 +312,17 @@ class LeavittAlgebra:
         q, p = m1.ghost, m2.real
         if q.source != p.source:
             return None
+        # The factors chain, so the product does: no checking constructors.
+        new = tuple.__new__
         if len(q) <= len(p):
             if p.edges[: len(q)] != q.edges:
                 return None
-            return Monomial(
-                Path(m1.real.source, m1.real.edges + p.edges[len(q):], p.range),
-                m2.ghost,
-            )
+            real = new(Path, (m1.real.source, m1.real.edges + p.edges[len(q):], p.range))
+            return new(Monomial, (real, m2.ghost))
         if q.edges[: len(p)] != p.edges:
             return None
-        return Monomial(
-            m1.real,
-            Path(m2.ghost.source, m2.ghost.edges + q.edges[len(p):], q.range),
-        )
+        ghost = new(Path, (m2.ghost.source, m2.ghost.edges + q.edges[len(p):], q.range))
+        return new(Monomial, (m1.real, ghost))
 
     def mono_mul(self, m1: Monomial, m2: Monomial) -> "Element":
         """The renormalized product of two monomials."""

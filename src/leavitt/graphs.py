@@ -14,6 +14,13 @@ Condition (L), quotient graphs, and the hedgehog extension of a hereditary
 set by its entry paths. Each whole-graph notion is one sweep over the
 vertices and edges; no routine enumerates cycles or recomputes a tree per
 vertex.
+
+The sweeps (tree, line_points, the path counts, hereditary and saturated
+checks and closure, Condition (L), the backward and cycle searches,
+entry_paths, hedgehog_graph) check their vertex arguments once, at entry,
+and then read the graph's adjacency maps directly: out-edges from
+``Graph._out`` and in-edges from ``Graph._in_map()``, both keyed in
+declaration order. Only the public lookups check a vertex on every call.
 """
 
 from __future__ import annotations
@@ -118,8 +125,6 @@ class Graph:
             self._eindex[e.name] = i
             out[e.source].append(e)
         self._out = {v: tuple(es) for v, es in out.items()}
-        # Built on first use, like the hash: the algebra and the reduction
-        # never follow edges backwards.
         self._in: dict[str, tuple[Edge, ...]] | None = None
         self._hash: int | None = None
 
@@ -166,17 +171,27 @@ class Graph:
             raise GraphError("unknown edge %r" % name) from None
 
     def out_edges(self, vertex: str) -> tuple[Edge, ...]:
-        self.require_vertex(vertex)
-        return self._out[vertex]
+        try:
+            return self._out[vertex]
+        except KeyError:
+            raise UnknownVertexError("unknown vertex %r" % vertex) from None
 
-    def in_edges(self, vertex: str) -> tuple[Edge, ...]:
-        self.require_vertex(vertex)
+    def _in_map(self) -> dict[str, tuple[Edge, ...]]:
+        """The in-edges of every vertex, keyed in declaration order; built
+        on first use, like the hash, since the algebra and the reduction
+        never follow edges backwards."""
         if self._in is None:
             inn: dict[str, list[Edge]] = {v: [] for v in self.vertices}
             for e in self.edges:
                 inn[e.range].append(e)
             self._in = {v: tuple(es) for v, es in inn.items()}
-        return self._in[vertex]
+        return self._in
+
+    def in_edges(self, vertex: str) -> tuple[Edge, ...]:
+        try:
+            return self._in_map()[vertex]
+        except KeyError:
+            raise UnknownVertexError("unknown vertex %r" % vertex) from None
 
     def out_degree(self, vertex: str) -> int:
         return len(self.out_edges(vertex))
@@ -328,11 +343,12 @@ def tree(graph: Graph, vertices: str | Iterable[str]) -> frozenset[str]:
     Accepts a single vertex name or any iterable of names.
     """
     seeds = _vertex_set(graph, [vertices] if isinstance(vertices, str) else vertices)
+    out = graph._out
     seen = set(seeds)
     stack = list(seeds)
     while stack:
         at = stack.pop()
-        for e in graph.out_edges(at):
+        for e in out[at]:
             if e.range not in seen:
                 seen.add(e.range)
                 stack.append(e.range)
@@ -350,12 +366,13 @@ def _path_counts(graph: Graph) -> dict[str, int | None]:
     Kahn's sweep settles a vertex once all its in-neighbours are settled;
     the vertices it never settles are those that some cycle reaches.
     """
-    waiting = {v: len(graph.in_edges(v)) for v in graph.vertices}
+    out, inn = graph._out, graph._in_map()
+    waiting = {v: len(es) for v, es in inn.items()}
     counts: dict[str, int | None] = dict.fromkeys(graph.vertices)
     ready = [v for v in graph.vertices if not waiting[v]]
     for v in ready:
-        counts[v] = 1 + sum(counts[e.source] for e in graph.in_edges(v))
-        for e in graph.out_edges(v):
+        counts[v] = 1 + sum(counts[e.source] for e in inn[v])
+        for e in out[v]:
             waiting[e.range] -= 1
             if not waiting[e.range]:
                 ready.append(e.range)
@@ -374,11 +391,10 @@ def line_points(graph: Graph) -> tuple[str, ...]:
     a sink, so one backward sweep from the sinks finds them all. Returned
     in declaration order.
     """
+    out, inn = graph._out, graph._in_map()
     found = list(graph.sinks())
     for v in found:
-        found.extend(
-            e.source for e in graph.in_edges(v) if graph.out_degree(e.source) == 1
-        )
+        found.extend(e.source for e in inn[v] if len(out[e.source]) == 1)
     keep = set(found)
     return tuple(v for v in graph.vertices if v in keep)
 
@@ -388,10 +404,15 @@ def line_points(graph: Graph) -> tuple[str, ...]:
 # ----------------------------------------------------------------------
 
 def _vertex_set(graph: Graph, subset: Iterable[str]) -> frozenset[str]:
-    """The given vertices as a set, each checked to be in the graph."""
+    """The given vertices as a set, checked to lie in the graph.
+
+    One subset test checks them all; only when it fails are they checked
+    one by one, to name an unknown vertex.
+    """
     vs = frozenset(subset)
-    for v in vs:
-        graph.require_vertex(v)
+    if not vs <= graph._vindex.keys():
+        for v in vs:
+            graph.require_vertex(v)
     return vs
 
 
@@ -410,16 +431,17 @@ def _depth_bound(graph: Graph, depth_bound: int | None) -> int:
 def is_hereditary(graph: Graph, subset: Iterable[str]) -> bool:
     """Closed under ranges: an edge out of the set cannot leave it."""
     h = _vertex_set(graph, subset)
-    return all(e.range in h for e in graph.edges if e.source in h)
+    out = graph._out
+    return all(e.range in h for v in h for e in out[v])
 
 
 def is_saturated(graph: Graph, subset: Iterable[str]) -> bool:
     """Contains every non-sink all of whose edge ranges it contains."""
     h = _vertex_set(graph, subset)
-    for v in graph.vertices:
-        if v in h or graph.is_sink(v):
+    for v, es in graph._out.items():
+        if v in h or not es:
             continue
-        if all(e.range in h for e in graph.out_edges(v)):
+        if all(e.range in h for e in es):
             return False
     return True
 
@@ -431,11 +453,12 @@ def hereditary_saturated_closure(graph: Graph, subset: Iterable[str]) -> frozens
     joins once none of its out-edges leaves the set any more.
     """
     h = set(_vertex_set(graph, subset))
-    leaving = {v: graph.out_degree(v) for v in graph.vertices}
+    out, inn = graph._out, graph._in_map()
+    leaving = {v: len(es) for v, es in out.items()}
     joined = list(h)
     for v in joined:
-        joining = [e.range for e in graph.out_edges(v)]
-        for e in graph.in_edges(v):
+        joining = [e.range for e in out[v]]
+        for e in inn[v]:
             leaving[e.source] -= 1
             if not leaving[e.source]:
                 joining.append(e.source)
@@ -487,11 +510,7 @@ def condition_L(graph: Graph) -> bool:
     out-edge, where the walk is deterministic; following those walks and
     looking for a return is linear in the graph.
     """
-    step = {
-        v: graph.out_edges(v)[0].range
-        for v in graph.vertices
-        if graph.out_degree(v) == 1
-    }
+    step = {v: es[0].range for v, es in graph._out.items() if len(es) == 1}
     state = {v: 0 for v in step}  # 0 new, 1 on current trail, 2 finished
     for start in step:
         if state[start]:
@@ -551,28 +570,57 @@ class HedgehogGraph:
     blocking_cycle: Path | None
 
 
+# Entry paths are counted before they are built: K6 plus a sink has 97,656
+# up to the default bound and builds in about a second, K8 plus a sink would
+# have over 6 million.
+MAX_ENTRY_PATHS = 100_000
+
+
 def entry_paths(graph: Graph, subset: Iterable[str], max_length: int) -> list[Path]:
     """Paths that end inside the set having stayed outside it before.
 
     A path e1 ... en qualifies when its range lies in the set and every
     earlier vertex (source included) lies outside. Results are sorted
-    shortlex; lengths run up to max_length. Starting from the trivial paths
-    in the set, each round prepends the in-edges from outside it, so no
-    path longer than max_length is built.
+    shortlex; lengths run up to max_length. Raises GraphError, before
+    building the layer that would do it, when there are more than
+    MAX_ENTRY_PATHS of them.
+
+    Starting from the trivial paths in the set, each round prepends the
+    edges from outside it, so no path longer than max_length is built.
+    Each layer comes out in shortlex order without sorting any path: the
+    paths of the previous layer are grouped by source, and e·p is emitted
+    for the outside sources u of edges into those groups in declaration
+    order, the out-edges e of u in declaration order, and the paths p of
+    the group at the range of e in their own order. Within one layer the
+    length is fixed and e·p starts at u, so shortlex compares u, then e,
+    then p, which is the emission order when the previous layer was
+    shortlex too.
     """
     h = _vertex_set(graph, subset)
-    layer = [Path(v, (), v) for v in h]
+    out, inn, vindex = graph._out, graph._in_map(), graph._vindex
+    new = tuple.__new__
+    layer = [new(Path, (v, (), v)) for v in h]
     found: list[Path] = []
-    for _ in range(max_length):
+    for length in range(1, max_length + 1):
+        groups: dict[str, list[Path]] = {}
+        for p in layer:
+            groups.setdefault(p.source, []).append(p)
+        entering = [e for v in groups for e in inn[v] if e.source not in h]
+        total = len(found) + sum(len(groups[e.range]) for e in entering)
+        if total > MAX_ENTRY_PATHS:
+            raise GraphError(
+                "%d entry paths up to length %d, more than the %d allowed; "
+                "lower the depth bound (--depth)" % (total, length, MAX_ENTRY_PATHS)
+            )
         layer = [
-            Path(e.source, (e.name,) + p.edges, p.range)
-            for p in layer
-            for e in graph.in_edges(p.source)
-            if e.source not in h
+            new(Path, (u, (e.name,) + p.edges, p.range))
+            for u in sorted({e.source for e in entering}, key=vindex.__getitem__)
+            for e in out[u]
+            if e.range in groups
+            for p in groups[e.range]
         ]
         if not layer:
             break
-        layer.sort(key=graph.path_sort_key)
         found.extend(layer)
     return found
 
@@ -580,10 +628,11 @@ def entry_paths(graph: Graph, subset: Iterable[str], max_length: int) -> list[Pa
 def _reaching(graph: Graph, seeds: Iterable[str], seen: set[str]) -> set[str]:
     """One backward search: add to ``seen`` the seeds and every vertex that
     reaches one of them through unseen vertices, and return it."""
+    inn = graph._in_map()
     queue = [v for v in seeds if v not in seen]
     seen.update(queue)
     for v in queue:
-        fresh = {e.source for e in graph.in_edges(v)} - seen
+        fresh = {e.source for e in inn[v]} - seen
         seen |= fresh
         queue.extend(fresh)
     return seen
@@ -601,6 +650,7 @@ def _first_cycle(graph: Graph, allowed: set[str]) -> Path | None:
     search stops at the depth where it could only tie with it, which keeps
     the searches after the first cycle shallow.
     """
+    out = graph._out
     best = None
     for anchor in graph.vertices:
         if anchor not in allowed:
@@ -613,10 +663,10 @@ def _first_cycle(graph: Graph, allowed: set[str]) -> Path | None:
         for at in queue:
             if best is not None and depth[at] + 1 >= len(best):
                 break
-            closing = next((e for e in graph.out_edges(at) if e.range == anchor), None)
+            closing = next((e for e in out[at] if e.range == anchor), None)
             if closing is not None:
                 break
-            for e in graph.out_edges(at):
+            for e in out[at]:
                 if e.range in allowed and e.range not in via:
                     via[e.range] = e
                     depth[e.range] = depth[at] + 1
@@ -643,7 +693,8 @@ def hedgehog_graph(
     at the source of an edge into it plus that edge, so the path counts at
     those sources add up to their number, finite exactly when no blocking
     cycle (found by one backward search) reaches the set. The result is
-    complete when the spines reach that number.
+    complete when the spines reach that number. More than MAX_ENTRY_PATHS
+    spines raise GraphError, as in entry_paths.
     """
     ideal = graph.sorted_vertices(subset)
     h = frozenset(ideal)
@@ -688,9 +739,10 @@ def _path_layers(graph: Graph, source: str) -> Iterator[list[Path]]:
     asked for. A layer has one source and length, so shortlex order on it
     is lexicographic in the edges, which extending in out-edge order keeps."""
     layer = [graph.trivial_path(source)]
+    out = graph._out
     while True:
         yield layer
-        layer = [graph.extend(p, e) for p in layer for e in graph.out_edges(p.range)]
+        layer = [graph.extend(p, e) for p in layer for e in out[p.range]]
 
 
 def paths_from_by_length(graph: Graph, source: str, max_length: int) -> list[list[Path]]:

@@ -38,7 +38,6 @@ from .graphs import (
     condition_L,
     cycle_has_exit,
     hereditary_saturated_closure,
-    line_points,
     require_cycle,
     _first_bifurcation,
     _reaching,
@@ -366,9 +365,21 @@ def is_simple(graph: Graph) -> bool:
 
 def vertex_ideal_minimal(graph: Graph, vertex: str) -> bool:
     """Whether the left ideal the vertex generates is minimal: the vertex
-    must be a line point (its tree has no bifurcation and meets no cycle)."""
-    graph.require_vertex(vertex)
-    return vertex in line_points(graph)
+    must be a line point (its tree has no bifurcation and meets no cycle).
+
+    That tree is the walk from the vertex through vertices of out-degree
+    one, so the walk decides it: yes when it stops at a sink, no at a
+    bifurcation or a vertex it visited before.
+    """
+    seen = {vertex}
+    edges = graph.out_edges(vertex)
+    while len(edges) == 1:
+        at = edges[0].range
+        if at in seen:
+            return False
+        seen.add(at)
+        edges = graph.out_edges(at)
+    return not edges
 
 
 def witness_to_obj(witness: ReductionWitness, algebra: LeavittAlgebra) -> dict:

@@ -297,6 +297,29 @@ def test_socle_enumerates_no_spines(capsys, tmp_path, monkeypatch):
     assert asked and max(asked) == 0
 
 
+def test_structure_refuses_too_many_spines(capsys, tmp_path):
+    """K8 without loops plus a sink has 137,257 entry paths up to length 7,
+    past the cap; structure says so in one line instead of building them."""
+    names = ["k%d" % i for i in range(8)]
+    path = tmp_path / "k8.graph"
+    path.write_text(
+        "vertices: %s s\n" % " ".join(names)
+        + "".join(
+            "edge %s_%s: %s -> %s\n" % (u, v, u, v)
+            for u in names for v in names if u != v
+        )
+        + "edge out: k0 -> s\n",
+        encoding="utf-8",
+    )
+    rc, out, err = run(capsys, "structure", str(path))
+    assert (rc, out, err) == (1, "", (
+        "error: 137257 entry paths up to length 7, more than the 100000 "
+        "allowed; lower the depth bound (--depth)\n"
+    ))
+    rc, out, _ = run(capsys, "structure", str(path), "--depth", "6", "--format", "json")
+    assert rc == 0 and len(json.loads(out)["hedgehog"]["entry_part"]) == 19608
+
+
 def test_output_is_deterministic(capsys, write_graph):
     path = write_graph("LS")
     first = run(capsys, "structure", path, "--format", "json")

@@ -26,7 +26,9 @@ from leavitt import (
     require_cycle,
     to_dot,
     tree,
+    vertex_ideal_minimal,
 )
+import leavitt.graphs as graphs_module
 from leavitt.graphs import _path_counts
 from leavitt.sampling import random_graph
 
@@ -541,6 +543,7 @@ def test_sweeps_match_the_oracles():
     blocked = 0
     for g in _oracle_graphs():
         assert line_points(g) == oracles.line_points(g)
+        assert tuple(v for v in g.vertices if vertex_ideal_minimal(g, v)) == line_points(g)
         assert is_acyclic(g) == oracles.is_acyclic(g)
         seeds = {v for v in g.vertices if rng.random() < 0.3}
         assert hereditary_saturated_closure(
@@ -564,3 +567,59 @@ def test_sweeps_match_the_oracles():
         blocked += hh.blocking_cycle is not None
     # The cycle-heavy family must actually exercise the blocking cycle.
     assert blocked >= 100
+
+
+def test_entry_paths_match_the_oracle_on_any_subset():
+    """Any subset, hereditary or not, at every depth from 0 to V+2; the
+    oracle's paths up to a depth are a prefix of its shortlex list."""
+    rng = random.Random(47)
+    for g in _oracle_graphs():
+        subset = {v for v in g.vertices if rng.random() < 0.4}
+        top = len(g.vertices) + 2
+        every = oracles.entry_paths(g, subset, top)
+        for depth in range(top + 1):
+            assert entry_paths(g, subset, depth) == [p for p in every if len(p) <= depth]
+
+
+def test_unknown_vertex_messages(graphs):
+    g = graphs["W"]
+    for query in (
+        g.require_vertex,
+        g.out_edges,
+        g.in_edges,
+        lambda v: tree(g, v),
+        lambda v: tree(g, ["z", v]),
+        lambda v: hereditary_saturated_closure(g, {"v", v}),
+        lambda v: entry_paths(g, ["w", v], 2),
+        lambda v: vertex_ideal_minimal(g, v),
+    ):
+        with pytest.raises(UnknownVertexError, match=r"^unknown vertex 'zz'$"):
+            query("zz")
+
+
+def _complete_plus_sink(n: int) -> Graph:
+    """K_n without loops plus one edge into a sink s: 4^(l-1) entry paths
+    of length l into {s} for n = 5."""
+    names = ["k%d" % i for i in range(n)]
+    edges = [Edge("%s_%s" % (u, v), u, v) for u in names for v in names if u != v]
+    return Graph(names + ["s"], edges + [Edge("out", "k0", "s")])
+
+
+def test_entry_paths_stop_at_the_cap(monkeypatch):
+    g = _complete_plus_sink(5)
+    # 1 + 4 + 16 + 64 = 85 entry paths up to length 4, 341 up to length 5.
+    monkeypatch.setattr(graphs_module, "MAX_ENTRY_PATHS", 85)
+    assert len(entry_paths(g, {"s"}, 4)) == 85
+    assert len(hedgehog_graph(g, {"s"}, 4).entry_part) == 85
+    with pytest.raises(GraphError, match=r"^341 entry paths up to length 5, more "
+                       r"than the 85 allowed; lower the depth bound \(--depth\)$"):
+        entry_paths(g, {"s"}, 5)
+    monkeypatch.setattr(graphs_module, "MAX_ENTRY_PATHS", 84)
+    with pytest.raises(GraphError, match=r"^85 entry paths up to length 4, more"):
+        hedgehog_graph(g, {"s"}, 4)
+    assert len(entry_paths(g, {"s"}, 3)) == 21
+
+
+def test_k6_plus_a_sink_stays_under_the_cap():
+    assert graphs_module.MAX_ENTRY_PATHS == 100_000
+    assert len(entry_paths(_complete_plus_sink(6), {"s"}, 8)) == 97_656

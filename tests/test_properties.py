@@ -21,6 +21,7 @@ from leavitt import (
     Monomial,
     Path,
     PrimeField,
+    entry_paths,
     is_simple,
     parse_element,
 )
@@ -55,6 +56,15 @@ def test_first_cycle_matches_the_full_search(data):
     g = data.draw(graphs())
     allowed = data.draw(st.sets(st.sampled_from(g.vertices)))
     assert _first_cycle(g, set(allowed)) == oracles.first_cycle(g, set(allowed))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data())
+def test_entry_paths_come_out_shortlex(data):
+    g = data.draw(graphs())
+    subset = data.draw(st.sets(st.sampled_from(g.vertices)))
+    paths = entry_paths(g, subset, data.draw(st.integers(0, len(g.vertices) + 2)))
+    assert paths == sorted(paths, key=g.path_sort_key)
 
 
 # ----------------------------------------------------------------------
