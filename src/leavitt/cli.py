@@ -30,18 +30,18 @@ from .graphs import (
     GraphParseError,
     SubsetError,
     hereditary_saturated_closure,
+    is_simple,
     line_points,
     parse_graph,
     to_dot,
+    vertex_ideal_minimal,
 )
 from .reduction import (
     ScalarVertex,
-    is_simple,
     nondegeneracy_witness,
     outcome_element,
     reduce as reduce_element,
     verify_witness,
-    vertex_ideal_minimal,
     witness_to_obj,
 )
 from .sampling import random_nonzero_element

@@ -8,12 +8,13 @@ and every function iterates in it, which makes all downstream computation
 deterministic.
 
 Alongside the data type live the purely combinatorial notions the algebraic
-decision procedures consume: reachability trees, bifurcations, line points,
-hereditary and saturated vertex sets with their closure, acyclicity and
-Condition (L), quotient graphs, and the hedgehog extension of a hereditary
-set by its entry paths. Each whole-graph notion is one sweep over the
-vertices and edges; no routine enumerates cycles or recomputes a tree per
-vertex.
+decision procedures consume: reachability trees, bifurcations, line points
+and the minimality of the left ideal a vertex generates, hereditary and
+saturated vertex sets with their closure, acyclicity, Condition (L) and the
+simplicity of the algebra, quotient graphs, and the hedgehog extension of a
+hereditary set by its entry paths. Each whole-graph notion is one sweep, or
+a few, over the vertices and edges; no routine enumerates cycles or
+recomputes a tree per vertex.
 
 The sweeps (tree, line_points, the path counts, hereditary and saturated
 checks and closure, Condition (L), the backward and cycle searches,
@@ -399,6 +400,25 @@ def line_points(graph: Graph) -> tuple[str, ...]:
     return tuple(v for v in graph.vertices if v in keep)
 
 
+def vertex_ideal_minimal(graph: Graph, vertex: str) -> bool:
+    """Whether the left ideal the vertex generates is minimal: the vertex
+    must be a line point (its tree has no bifurcation and meets no cycle).
+
+    That tree is the walk from the vertex through vertices of out-degree
+    one, so the walk decides it: yes when it stops at a sink, no at a
+    bifurcation or a vertex it visited before.
+    """
+    seen = {vertex}
+    edges = graph.out_edges(vertex)
+    while len(edges) == 1:
+        at = edges[0].range
+        if at in seen:
+            return False
+        seen.add(at)
+        edges = graph.out_edges(at)
+    return not edges
+
+
 # ----------------------------------------------------------------------
 # hereditary and saturated sets
 # ----------------------------------------------------------------------
@@ -526,6 +546,33 @@ def condition_L(graph: Graph) -> bool:
         for v in trail:
             state[v] = 2
     return True
+
+
+def is_simple(graph: Graph) -> bool:
+    """Simplicity of the algebra: Condition (L), and no hereditary saturated
+    vertex set but the empty and the full one.
+
+    Every nonempty hereditary set holds a strongly connected component that
+    no edge leaves, and the closure of a vertex of one such component meets
+    no other; so the sets are trivial exactly when that closure is
+    everything. Two sinks fail; one sink is the vertex; without sinks it is
+    the last start of backward searches from each unseen vertex, as all it
+    reaches is seen by its own search and so reaches it back.
+    """
+    if not condition_L(graph):
+        return False
+    sinks = graph.sinks()
+    if len(sinks) > 1:
+        return False
+    if sinks:
+        root = sinks[0]
+    else:
+        seen: set[str] = set()
+        for v in graph.vertices:
+            if v not in seen:
+                root = v
+                _reaching(graph, (v,), seen)
+    return hereditary_saturated_closure(graph, (root,)) == frozenset(graph.vertices)
 
 
 # ----------------------------------------------------------------------
@@ -751,10 +798,12 @@ def paths_from_by_length(graph: Graph, source: str, max_length: int) -> list[lis
     return list(islice(_path_layers(graph, source), max(max_length, 0) + 1))
 
 
+def _dot_quoted(text: str) -> str:
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _dot_id(name: str) -> str:
-    if _NAME_RE.match(name):
-        return name
-    return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
+    return name if _NAME_RE.match(name) else _dot_quoted(name)
 
 
 def to_dot(graph: Graph) -> str:
@@ -764,8 +813,8 @@ def to_dot(graph: Graph) -> str:
         lines.append("  %s;" % _dot_id(v))
     for e in graph.edges:
         lines.append(
-            '  %s -> %s [label="%s"];'
-            % (_dot_id(e.source), _dot_id(e.range), e.name.replace('"', '\\"'))
+            "  %s -> %s [label=%s];"
+            % (_dot_id(e.source), _dot_id(e.range), _dot_quoted(e.name))
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

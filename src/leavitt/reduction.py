@@ -19,9 +19,8 @@ conjugation by the first edge of the first closed path rotates the aligned
 paths and kills at least one misaligned one within a bounded number of
 rounds, since paths that rotate forever in alignment would share a root.
 
-On top of the reduction sit the nondegeneracy certificate (an element a
-with x a x nonzero) and the graph-level decisions for simplicity of the
-algebra and minimality of the left ideal a vertex generates.
+On top of the reduction sits the nondegeneracy certificate: an element a
+with x a x nonzero.
 """
 
 from __future__ import annotations
@@ -35,12 +34,9 @@ from .graphs import (
     Graph,
     GraphError,
     Path,
-    condition_L,
     cycle_has_exit,
-    hereditary_saturated_closure,
     require_cycle,
     _first_bifurcation,
-    _reaching,
 )
 
 
@@ -334,52 +330,6 @@ def nondegeneracy_witness(x: Element) -> Element:
     for gen in reversed(witness.left):
         a = a * gen.element(alg)
     return a * unit
-
-
-def is_simple(graph: Graph) -> bool:
-    """Simplicity of the algebra: Condition (L), and no hereditary saturated
-    vertex set but the empty and the full one.
-
-    Every nonempty hereditary set holds a strongly connected component that
-    no edge leaves, and the closure of a vertex of one such component meets
-    no other; so the sets are trivial exactly when that closure is
-    everything. Two sinks fail; one sink is the vertex; without sinks it is
-    the last start of backward searches from each unseen vertex, as all it
-    reaches is seen by its own search and so reaches it back.
-    """
-    if not condition_L(graph):
-        return False
-    sinks = graph.sinks()
-    if len(sinks) > 1:
-        return False
-    if sinks:
-        root = sinks[0]
-    else:
-        seen: set[str] = set()
-        for v in graph.vertices:
-            if v not in seen:
-                root = v
-                _reaching(graph, (v,), seen)
-    return hereditary_saturated_closure(graph, (root,)) == frozenset(graph.vertices)
-
-
-def vertex_ideal_minimal(graph: Graph, vertex: str) -> bool:
-    """Whether the left ideal the vertex generates is minimal: the vertex
-    must be a line point (its tree has no bifurcation and meets no cycle).
-
-    That tree is the walk from the vertex through vertices of out-degree
-    one, so the walk decides it: yes when it stops at a sink, no at a
-    bifurcation or a vertex it visited before.
-    """
-    seen = {vertex}
-    edges = graph.out_edges(vertex)
-    while len(edges) == 1:
-        at = edges[0].range
-        if at in seen:
-            return False
-        seen.add(at)
-        edges = graph.out_edges(at)
-    return not edges
 
 
 def witness_to_obj(witness: ReductionWitness, algebra: LeavittAlgebra) -> dict:

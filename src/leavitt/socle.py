@@ -1,12 +1,16 @@
 """The socle of a Leavitt path algebra, made executable.
 
-The socle is the two-sided ideal generated by the hereditary saturated
-closure H of the line points. Everything here reduces questions about that
-ideal to graph combinatorics plus exact normal-form arithmetic: membership
-goes through the quotient map that kills H, the matricial shape of the socle
-is read off from paths into sinks, and for acyclic graphs an explicit
-block-matrix representation doubles as a faithfulness oracle for the whole
-algebra.
+The socle is the two-sided ideal generated by the line points, and so by
+their hereditary saturated closure H. For a finite graph H is also the
+closure of the sinks: every sink is a line point, and the tree of a line
+point is a walk through out-degree-one vertices that ends at a sink, which
+saturation follows back. Both give the vertices that reach no cycle, so the
+socle is the whole algebra exactly when the graph is acyclic. Everything
+here reduces questions about that ideal to graph combinatorics plus exact
+normal-form arithmetic: membership goes through the quotient map that kills
+H, the matricial shape of the socle is read off from paths into sinks, and
+for acyclic graphs an explicit block-matrix representation doubles as a
+faithfulness oracle for the whole algebra.
 """
 
 from __future__ import annotations
@@ -38,19 +42,19 @@ from .graphs import (
 # ----------------------------------------------------------------------
 
 def socle_generators(graph: Graph) -> frozenset[str]:
-    """The hereditary saturated closure H of the line points.
+    """H, the closure of the line points, taken as the closure of the sinks.
 
     The socle is the two-sided ideal generated by these vertices.
     """
-    return hereditary_saturated_closure(graph, line_points(graph))
+    return hereditary_saturated_closure(graph, graph.sinks())
 
 
 def socle_is_nonzero(graph: Graph) -> bool:
-    return bool(line_points(graph))
+    return bool(graph.sinks())
 
 
 def socle_equals_algebra(graph: Graph) -> bool:
-    return len(socle_generators(graph)) == len(graph.vertices)
+    return is_acyclic(graph)
 
 
 def quotient_image(
@@ -90,9 +94,7 @@ def in_socle(x: Element) -> bool:
     """
     graph = x.algebra.graph
     h = socle_generators(graph)
-    if len(h) == len(graph.vertices):
-        return True
-    return quotient_image(x, h).is_zero
+    return len(h) == len(graph.vertices) or quotient_image(x, h).is_zero
 
 
 def left_ideal_sum_membership(x: Element, vertices: Iterable[str]) -> bool:
@@ -140,21 +142,19 @@ def socle_structure(graph: Graph, depth_bound: int | None = None) -> SocleReport
     number of paths ending at w, the trivial one included, infinite when a
     cycle reaches w. The hedgehog graph of H is built with the given depth
     bound (vertex count + 1 when omitted, checked even when H is empty, as
-    in hedgehog_graph); the structure theorem makes it
-    acyclic, truncations included, and the tests check that at several
-    bounds.
+    in hedgehog_graph); the structure theorem makes it acyclic, truncations
+    included, and the tests check that at several bounds.
     """
     depth_bound = _depth_bound(graph, depth_bound)
-    pl = line_points(graph)
-    h = hereditary_saturated_closure(graph, pl)
+    h = socle_generators(graph)
     counts = _path_counts(graph)
-    # Every sink is a line point, so every sink lies in H.
+    # H is the closure of the sinks, so every sink lies in H.
     sizes = [counts[w] for w in graph.sinks()]
     summands = tuple(sorted(n for n in sizes if n is not None)) + tuple(
         n for n in sizes if n is None
     )
     return SocleReport(
-        line_points=pl,
+        line_points=line_points(graph),
         closure_h=graph.sorted_vertices(h),
         summands=summands,
         hedgehog=hedgehog_graph(graph, h, depth_bound) if h else None,

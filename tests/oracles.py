@@ -3,11 +3,12 @@
 Each function follows the definition it implements as directly as it can:
 trees are recomputed per vertex, cycles are enumerated one by one or
 searched for to full depth from every anchor, the closure is iterated to a
-fixpoint and taken once per vertex for simplicity, paths are listed from
-every vertex, normalization scans its live redexes on every step, sums
-merge their terms in a dict and sort them again, reduction multiplies by
-every vertex to find where an element starts, and membership in a sum of
-left ideals multiplies by the vertex sum.
+fixpoint, taken of the line points for the socle's generators and once
+per vertex for simplicity, paths are listed from every vertex,
+normalization scans its live redexes on every step, sums merge their terms
+in a dict and sort them again, reduction multiplies by every vertex to
+find where an element starts, and membership in a sum of left ideals
+multiplies by the vertex sum.
 They are exponential or polynomial of high degree, so tests run them on
 small inputs only.
 """
@@ -90,6 +91,11 @@ def hereditary_saturated_closure(graph: Graph, subset: Iterable[str]) -> frozens
                 h.add(v)
                 changed = True
     return frozenset(h)
+
+
+def socle_generators(graph: Graph) -> frozenset[str]:
+    """H as the paper defines it: the closure of the line points."""
+    return hereditary_saturated_closure(graph, line_points(graph))
 
 
 def paths_ending_at(graph: Graph, sink: str, on_cycles: frozenset[str]) -> int | None:

@@ -1,4 +1,8 @@
-"""The package's public surface: the names ``leavitt`` exports."""
+"""The package's public surface: the names ``leavitt`` exports, and no
+module importing a name it never uses."""
+
+import ast
+from pathlib import Path
 
 import leavitt
 
@@ -28,3 +32,30 @@ def test_exports_are_pinned_and_resolve():
     assert sorted(leavitt.__all__) == EXPORTS
     for name in EXPORTS:
         assert getattr(leavitt, name) is not None
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module binds by import and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return ["%s (line %d)" % (name, line)
+            for name, line in imported.items() if name not in read]
+
+
+def test_modules_use_every_name_they_import():
+    package = Path(leavitt.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 8
+    unused = {
+        p.name: names
+        for p in modules
+        if (names := _unused_imports(p.read_text(encoding="utf-8")))
+    }
+    assert unused == {}

@@ -507,6 +507,9 @@ def test_to_dot_quotes_awkward_names():
     text = to_dot(g)
     assert '"b.c";' in text
     assert 'a -> "b.c" [label="x.y"];' in text
+    # A backslash is escaped in a label as in an id, so the string ends.
+    g = Graph(["v", "w"], [Edge("x" + "\\", "v", "w")])
+    assert 'v -> w [label="x\\\\"];' in to_dot(g)
 
 
 # ----------------------------------------------------------------------

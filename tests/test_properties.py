@@ -24,6 +24,9 @@ from leavitt import (
     entry_paths,
     is_simple,
     parse_element,
+    socle_equals_algebra,
+    socle_generators,
+    tree,
 )
 from leavitt.graphs import _first_cycle
 from leavitt.sampling import random_element
@@ -48,6 +51,17 @@ def graphs(draw, max_vertices=6):
 @given(graphs())
 def test_is_simple_matches_the_per_vertex_oracle(g):
     assert is_simple(g) == oracles.is_simple(g)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(graphs(max_vertices=8))
+def test_socle_generators_close_the_sinks(g):
+    """H, the closure of the sinks, is the closure of the line points and is
+    the set of vertices that reach no cycle."""
+    on_cycles = oracles.vertices_on_cycles(g)
+    no_cycle = frozenset(v for v in g.vertices if not tree(g, v) & on_cycles)
+    assert socle_generators(g) == oracles.socle_generators(g) == no_cycle
+    assert socle_equals_algebra(g) == oracles.is_acyclic(g)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)

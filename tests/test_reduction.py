@@ -27,7 +27,7 @@ from leavitt import (
     witness_from_obj,
     witness_to_obj,
 )
-import leavitt.reduction
+import leavitt.graphs
 from leavitt.sampling import line_graph, random_graph, random_nonzero_element
 
 import oracles
@@ -254,9 +254,10 @@ def test_verify_rejects_tampered_witnesses(algebras):
 # witness serialization
 # ----------------------------------------------------------------------
 
-def test_witness_round_trip(algebras):
+def test_witness_round_trip(graphs):
     rng = random.Random(83)
-    for algebra in algebras.values():
+    for algebra in [LeavittAlgebra(g, field) for field in (QQ, PrimeField(5))
+                    for g in graphs.values()]:
         for _ in range(20):
             x = random_nonzero_element(rng, algebra)
             wit = reduce(x)
@@ -471,13 +472,13 @@ def test_is_simple_takes_one_closure(monkeypatch):
     rng.shuffle(order)
     g = Graph(order, line.edges)
     calls = []
-    closure = leavitt.reduction.hereditary_saturated_closure
+    closure = leavitt.graphs.hereditary_saturated_closure
 
     def counted(*args):
         calls.append(args)
         return closure(*args)
 
-    monkeypatch.setattr(leavitt.reduction, "hereditary_saturated_closure", counted)
+    monkeypatch.setattr(leavitt.graphs, "hereditary_saturated_closure", counted)
     assert is_simple(g)
     assert len(calls) <= 1
 

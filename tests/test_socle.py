@@ -26,6 +26,8 @@ from leavitt import (
     socle_is_nonzero,
     socle_structure,
 )
+import leavitt.graphs
+import leavitt.socle
 from leavitt.sampling import (
     line_graph,
     random_element,
@@ -59,6 +61,34 @@ def test_socle_booleans(graphs):
     for name, (nonzero, whole) in expectations.items():
         assert socle_is_nonzero(graphs[name]) is nonzero
         assert socle_equals_algebra(graphs[name]) is whole
+
+
+def test_socle_decisions_take_no_line_point_sweep(graphs, monkeypatch):
+    """H is closed from the sinks: with line_points refusing to run, the
+    generators, both booleans and membership keep the answers of the
+    closure of the line points."""
+    rng = random.Random(131)
+    cases = list(graphs.values()) + [
+        random_graph(rng, max_vertices=6, max_edges=9) for _ in range(60)
+    ]
+    expected = []
+    for g in cases:
+        h = oracles.socle_generators(g)
+        whole = len(h) == len(g.vertices)
+        xs = [random_element(rng, LeavittAlgebra(g, QQ)) for _ in range(3)]
+        members = [whole or quotient_image(x, h).is_zero for x in xs]
+        expected.append((h, bool(oracles.line_points(g)), whole, xs, members))
+
+    def refuse(graph):
+        raise AssertionError("line_points was called")
+
+    monkeypatch.setattr(leavitt.socle, "line_points", refuse)
+    monkeypatch.setattr(leavitt.graphs, "line_points", refuse)
+    for g, (h, nonzero, whole, xs, members) in zip(cases, expected):
+        assert socle_generators(g) == h
+        assert socle_is_nonzero(g) is nonzero
+        assert socle_equals_algebra(g) is whole
+        assert [in_socle(x) for x in xs] == members
 
 
 # ----------------------------------------------------------------------
@@ -377,6 +407,38 @@ def test_socle_is_a_two_sided_ideal(algebras):
             b = random_element(rng, algebra)
             assert in_socle(x)
             assert in_socle(a * x * b)
+
+
+def test_the_socle_is_graded_and_self_adjoint(graphs):
+    """x and its involution are both in the socle or both out, and so is
+    every homogeneous component of a member, over Q and GF(5)."""
+    rng = random.Random(137)
+    cases = [graphs["LS"]]
+    while len(cases) < 12:
+        g = random_graph(rng, max_vertices=6, max_edges=9)
+        if 0 < len(socle_generators(g)) < len(g.vertices):
+            cases.append(g)
+    inside = outside = 0
+    for field in (QQ, PrimeField(5)):
+        for g in cases:
+            algebra = LeavittAlgebra(g, field)
+            h = g.sorted_vertices(socle_generators(g))
+            for _ in range(20):
+                x = random_element(rng, algebra)
+                if rng.random() < 0.5:
+                    x = x * algebra.vertex(rng.choice(h)) * random_element(rng, algebra)
+                member = in_socle(x)
+                assert in_socle(x.involution()) == member
+                if x.is_zero:
+                    continue
+                if not member:
+                    outside += 1
+                    continue
+                inside += 1
+                low, high = x.degree_range()
+                for d in range(low, high + 1):
+                    assert in_socle(x.homogeneous_component(d))
+    assert inside >= 100 and outside >= 100
 
 
 def test_structure_agrees_with_matrices_on_acyclic_graphs():
