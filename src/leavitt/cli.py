@@ -16,6 +16,7 @@ recheck failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -324,11 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # argparse reads COLUMNS per message
+
+
 def main(argv=None) -> int:
     """Run one command: parse the arguments, load the graph, compute the
     answer, and only then print it by --format. Returns the exit status."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         answer = args.handler(_load_graph(args.graph), args)
         if isinstance(answer, str):
             print(answer, end="")

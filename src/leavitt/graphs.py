@@ -16,12 +16,13 @@ hereditary set by its entry paths. Each whole-graph notion is one sweep, or
 a few, over the vertices and edges; no routine enumerates cycles or
 recomputes a tree per vertex.
 
-The sweeps (tree, line_points, the path counts, hereditary and saturated
-checks and closure, Condition (L), the backward and cycle searches,
-entry_paths, hedgehog_graph) check their vertex arguments once, at entry,
-and then read the graph's adjacency maps directly: out-edges from
-``Graph._out`` and in-edges from ``Graph._in_map()``, both keyed in
-declaration order. Only the public lookups check a vertex on every call.
+The sweeps (tree, the out-degree-one walks behind line points, minimal
+vertex ideals and Condition (L), the path counts, hereditary and saturated
+checks and closure, the backward and cycle searches, entry_paths,
+hedgehog_graph) check their vertex arguments once, at entry, and then read
+the graph's adjacency maps: out-edges from ``Graph._out`` and in-edges from
+``Graph._in_map()``, both in declaration order. Only the public lookups
+check a vertex on every call.
 """
 
 from __future__ import annotations
@@ -179,8 +180,8 @@ class Graph:
 
     def _in_map(self) -> dict[str, tuple[Edge, ...]]:
         """The in-edges of every vertex, keyed in declaration order; built
-        on first use, like the hash, since the algebra and the reduction
-        never follow edges backwards."""
+        on first use, like the hash, since the algebra, the reduction and
+        the out-degree-one walk never follow edges backwards."""
         if self._in is None:
             inn: dict[str, list[Edge]] = {v: [] for v in self.vertices}
             for e in self.edges:
@@ -385,38 +386,48 @@ def is_acyclic(graph: Graph) -> bool:
     return None not in _path_counts(graph).values()
 
 
+def _walk_end(graph: Graph, start: str, ends: dict[str, str | None]) -> str | None:
+    """Where the walk from the start through out-degree-one vertices stops:
+    at a sink or a bifurcation, or None when it closes a cycle, which then
+    has no exit. Each vertex passed is settled in ``ends`` with that end; a
+    walk meeting a settled vertex takes its end, so each is passed once."""
+    out = graph._out
+    trail, at = [], start
+    while at not in ends and len(out[at]) == 1:
+        ends[at] = ""  # on this trail: no vertex name is empty
+        trail.append(at)
+        at = out[at][0].range
+    # An unmet vertex is a sink or a bifurcation, its own end; one met on
+    # this trail closes the walk; a settled one hands on its end.
+    end = ends[at] = ends.get(at, at) or None
+    for v in trail:
+        ends[v] = end
+    return end
+
+
 def line_points(graph: Graph) -> tuple[str, ...]:
     """Vertices whose tree contains no bifurcation and meets no cycle.
 
-    Such a tree is a walk through vertices of out-degree one that stops at
-    a sink, so one backward sweep from the sinks finds them all. Returned
-    in declaration order.
+    A vertex's tree is a line exactly when its walk through vertices of
+    out-degree one stops at a sink, so the walks from every vertex, each
+    vertex passed once, find them all. Returned in declaration order.
     """
-    out, inn = graph._out, graph._in_map()
-    found = list(graph.sinks())
-    for v in found:
-        found.extend(e.source for e in inn[v] if len(out[e.source]) == 1)
-    keep = set(found)
-    return tuple(v for v in graph.vertices if v in keep)
+    out, ends = graph._out, {}
+    return tuple(
+        v for v in graph.vertices
+        if (end := _walk_end(graph, v, ends)) is not None and not out[end]
+    )
 
 
 def vertex_ideal_minimal(graph: Graph, vertex: str) -> bool:
     """Whether the left ideal the vertex generates is minimal: the vertex
     must be a line point (its tree has no bifurcation and meets no cycle).
 
-    That tree is the walk from the vertex through vertices of out-degree
-    one, so the walk decides it: yes when it stops at a sink, no at a
-    bifurcation or a vertex it visited before.
+    Its tree is a line exactly when its walk through vertices of out-degree
+    one stops at a sink, so that one walk decides it.
     """
-    seen = {vertex}
-    edges = graph.out_edges(vertex)
-    while len(edges) == 1:
-        at = edges[0].range
-        if at in seen:
-            return False
-        seen.add(at)
-        edges = graph.out_edges(at)
-    return not edges
+    end = _walk_end(graph, graph.require_vertex(vertex), {})
+    return end is not None and not graph._out[end]
 
 
 # ----------------------------------------------------------------------
@@ -526,26 +537,12 @@ def cycle_has_exit(graph: Graph, cycle: Path) -> bool:
 def condition_L(graph: Graph) -> bool:
     """Every simple cycle has an exit.
 
-    A cycle with no exit lives inside the set of vertices with exactly one
-    out-edge, where the walk is deterministic; following those walks and
-    looking for a return is linear in the graph.
+    A cycle without an exit is a walk through vertices of out-degree one
+    that closes, so the walks from those vertices decide it.
     """
-    step = {v: es[0].range for v, es in graph._out.items() if len(es) == 1}
-    state = {v: 0 for v in step}  # 0 new, 1 on current trail, 2 finished
-    for start in step:
-        if state[start]:
-            continue
-        trail = []
-        at = start
-        while at in step and state[at] == 0:
-            state[at] = 1
-            trail.append(at)
-            at = step[at]
-        if at in step and state[at] == 1:
-            return False
-        for v in trail:
-            state[v] = 2
-    return True
+    ends: dict[str, str | None] = {}
+    ones = (v for v, es in graph._out.items() if len(es) == 1)
+    return all(_walk_end(graph, v, ends) is not None for v in ones if v not in ends)
 
 
 def is_simple(graph: Graph) -> bool:

@@ -30,14 +30,7 @@ from math import gcd
 
 from .algebra import AlgebraError, Element, LeavittAlgebra, ZeroElementError
 from .fields import FieldError
-from .graphs import (
-    Graph,
-    GraphError,
-    Path,
-    cycle_has_exit,
-    require_cycle,
-    _first_bifurcation,
-)
+from .graphs import Graph, GraphError, Path, _first_bifurcation, require_cycle
 
 
 @dataclass(frozen=True)
@@ -271,7 +264,7 @@ def outcome_element(algebra: LeavittAlgebra, outcome) -> Element:
         g.path(cycle.source, cycle.edges)
         if cycle.source != outcome.vertex:
             raise AlgebraError("cycle polynomial based off its vertex")
-        if cycle_has_exit(g, cycle):
+        if _first_bifurcation(g, cycle) is not None:
             raise AlgebraError("cycle polynomial over a cycle with an exit")
         if not outcome.coeffs:
             raise AlgebraError("empty cycle polynomial")
@@ -283,9 +276,7 @@ def outcome_element(algebra: LeavittAlgebra, outcome) -> Element:
             c = algebra.field.coerce(c)
             if not c:
                 raise AlgebraError("zero coefficient in cycle polynomial")
-            power = Path(
-                cycle.source, cycle.edges * abs(exp), cycle.source
-            )
+            power = Path(cycle.source, cycle.edges * abs(exp), cycle.source)
             if exp == 0:
                 piece = algebra.vertex(outcome.vertex)
             elif exp > 0:
@@ -298,17 +289,24 @@ def outcome_element(algebra: LeavittAlgebra, outcome) -> Element:
 
 
 def verify_witness(x: Element, witness: ReductionWitness) -> bool:
-    """Replay a certificate against its element, trusting nothing."""
+    """Replay a certificate against its element, trusting nothing. Each
+    power of a cycle polynomial's cycle is a term of the outcome's normal
+    form, so one longer than every term of the replayed element fails the
+    certificate before the outcome is built."""
+    alg, outcome = x.algebra, witness.outcome
     try:
-        target = outcome_element(x.algebra, witness.outcome)
         y = x
         for gen in witness.right:
-            y = y * gen.element(x.algebra)
+            y = y * gen.element(alg)
         for gen in witness.left:
-            y = gen.element(x.algebra) * y
+            y = gen.element(alg) * y
+        if isinstance(outcome, CyclePolynomial):
+            longest = max((len(m.real) + len(m.ghost) for m, _ in y.items()), default=0)
+            if any(abs(k) * len(outcome.cycle) > longest for k, _ in outcome.coeffs):
+                return False
+        return y == outcome_element(alg, outcome)
     except (AlgebraError, FieldError, GraphError):
         return False
-    return y == target
 
 
 def nondegeneracy_witness(x: Element) -> Element:

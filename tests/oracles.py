@@ -32,7 +32,6 @@ from leavitt.graphs import (
     Path,
     SubsetError,
     _vertex_set,
-    condition_L,
     is_bifurcation,
     is_hereditary,
     paths_from_by_length,
@@ -253,6 +252,14 @@ def hedgehog_graph(
         entry_part=tuple(entry_names),
         complete=complete,
         blocking_cycle=blocking,
+    )
+
+
+def condition_L(graph: Graph) -> bool:
+    """Every simple cycle has an exit: a vertex of out-degree two or more."""
+    return all(
+        any(is_bifurcation(graph, v) for v in graph.path_vertices(cycle))
+        for cycle in simple_cycles(graph)
     )
 
 

@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import leavitt
 import leavitt.graphs as graphs_module
-from leavitt.cli import main
+from leavitt.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -248,6 +250,21 @@ def test_exit_codes(capsys, tmp_path, write_graph):
     capsys.readouterr()
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_usage_errors_follow_columns_with_one_parser(capsys, monkeypatch):
+    """main builds its parser once per process, and each usage error is
+    still wrapped to the COLUMNS of the moment, as by a fresh parser."""
+    seen = []
+    for width in ("200", "50", "80"):
+        monkeypatch.setenv("COLUMNS", width)
+        assert main(["structure"]) == 2
+        reused = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["structure"])
+        assert reused == capsys.readouterr().err
+        seen.append(reused)
+    assert seen[0] != seen[1]
 
 
 def test_depth_must_be_nonnegative(capsys, tmp_path):

@@ -163,6 +163,15 @@ def _eager_in_edges(g: Graph) -> dict:
     return {v: tuple(e for e in g.edges if e.range == v) for v in g.vertices}
 
 
+def test_out_degree_one_walks_build_no_in_edges():
+    for _, parsed in _footprint_graphs():
+        line_points(parsed)
+        condition_L(parsed)
+        for v in parsed.vertices:
+            vertex_ideal_minimal(parsed, v)
+        assert parsed._in is None
+
+
 def test_lazy_in_edges_match_an_eager_rebuild():
     for g, parsed in _footprint_graphs():
         # First query on a fresh graph.
@@ -548,6 +557,7 @@ def test_sweeps_match_the_oracles():
         assert line_points(g) == oracles.line_points(g)
         assert tuple(v for v in g.vertices if vertex_ideal_minimal(g, v)) == line_points(g)
         assert is_acyclic(g) == oracles.is_acyclic(g)
+        assert condition_L(g) == oracles.condition_L(g)
         seeds = {v for v in g.vertices if rng.random() < 0.3}
         assert hereditary_saturated_closure(
             g, seeds

@@ -248,6 +248,13 @@ def test_verify_rejects_tampered_witnesses(algebras):
     assert not verify_witness(
         x, ReductionWitness((), (), ScalarVertex(PrimeField(7).one(), "v"))
     )
+    # Forged exponents: a cycle power past every replayed term fails before
+    # the outcome is built, with no overflow and no power of that length.
+    T = algebras["T"]
+    f = T.edge("f")
+    for coeffs in ([[10**19, "1"]], [[10**7, "1"], [-10**7, "1"]]):
+        outcome = {"kind": "cycle-polynomial", "vertex": "v", "cycle": ["f"], "coeffs": coeffs}
+        assert not verify_witness(f, witness_from_obj(T, {"outcome": outcome}))
 
 
 # ----------------------------------------------------------------------
@@ -256,8 +263,12 @@ def test_verify_rejects_tampered_witnesses(algebras):
 
 def test_witness_round_trip(graphs):
     rng = random.Random(83)
-    for algebra in [LeavittAlgebra(g, field) for field in (QQ, PrimeField(5))
-                    for g in graphs.values()]:
+    drawn = random.Random(89)
+    algebras = [LeavittAlgebra(g, field) for field in (QQ, PrimeField(5))
+                for g in graphs.values()]
+    algebras += [LeavittAlgebra(random_graph(drawn), PrimeField(p))
+                 for p in (5, 7) for _ in range(15)]
+    for algebra in algebras:
         for _ in range(20):
             x = random_nonzero_element(rng, algebra)
             wit = reduce(x)
