@@ -19,13 +19,14 @@ the order redexes are picked) is exercised empirically by the test suite,
 against a scanning normalizer that may pick them in any order.
 
 Normalization always rewrites the least live redex first, popping it from a
-heap at O(log n) per rewrite step for n live redexes. A monomial and its
-paths are tuples, so they hash and compare in C; a monomial stores nothing
-but its two paths, and its sort key is computed where it is needed. Input
-monomials are checked by walking their edges through the graph, which
-builds no paths. The step budget is DEFAULT_STEP_LIMIT. Operations on
-elements of one algebra object never compare graphs, so their cost does not
-depend on the size of the graph.
+heap at O(log n) per rewrite step for n live redexes, within a budget of
+DEFAULT_STEP_LIMIT steps. A monomial and its paths are tuples, so they hash
+and compare in C; a monomial stores nothing but its two paths. A vertex,
+edge, ghost, path or ghost path has a trivial part, so it is never a redex
+and is built as its own normal form; only combinations of monomials are
+normalized. Input from outside is still checked, by walking its edges
+through the graph, which builds no paths. Operations on elements of one
+algebra never compare graphs, so graph size does not enter their cost.
 
 Coefficients come from leavitt.fields, so everything here is exact.
 """
@@ -154,19 +155,25 @@ class LeavittAlgebra:
     def vertex(self, name: str) -> "Element":
         return self._vertex_sum((name,))
 
+    def _generator(self, real: Path, ghost: Path) -> "Element":
+        """p q* with a trivial part, checked by the caller: never a redex."""
+        return Element(self, ((tuple.__new__(Monomial, (real, ghost)), self.field.one()),))
+
     def edge(self, name: str) -> "Element":
         e = self.graph.edge(name)
-        return self.path_element(self.graph.path(e.source, (name,)))
+        return self._generator(Path(e.source, (name,), e.range), Path(e.range, (), e.range))
 
     def ghost(self, name: str) -> "Element":
         e = self.graph.edge(name)
-        return self.path_star_element(self.graph.path(e.source, (name,)))
+        return self._generator(Path(e.range, (), e.range), Path(e.source, (name,), e.range))
 
     def path_element(self, path: Path) -> "Element":
-        return self.monomial(path, self.graph.trivial_path(path.range))
+        t = self.graph.trivial_path(path.range)
+        return self._generator(self.graph.require_path(path), t)
 
     def path_star_element(self, path: Path) -> "Element":
-        return self.monomial(self.graph.trivial_path(path.range), path)
+        t = self.graph.trivial_path(path.range)
+        return self._generator(t, self.graph.require_path(path))
 
     def monomial(self, real: Path, ghost: Path) -> "Element":
         return self.element(((self.field.one(), Monomial(real, ghost)),))

@@ -505,7 +505,7 @@ def hereditary_saturated_closure(graph: Graph, subset: Iterable[str]) -> frozens
 # ----------------------------------------------------------------------
 
 def require_cycle(graph: Graph, path: Path) -> Path:
-    """Check that a path is a simple cycle: nontrivial, closed, no revisits."""
+    """Check that a path of the graph is a simple cycle: nontrivial, closed, no revisits."""
     if path.is_trivial:
         raise CycleError("the trivial path is not a cycle")
     verts = graph.path_vertices(path)
@@ -514,7 +514,7 @@ def require_cycle(graph: Graph, path: Path) -> Path:
     body = verts[:-1]
     if len(set(body)) != len(body):
         raise CycleError("closed path revisits a vertex before closing")
-    return path
+    return graph.require_path(path)
 
 
 def _first_bifurcation(graph: Graph, path: Path) -> int | None:

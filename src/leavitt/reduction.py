@@ -261,7 +261,6 @@ def outcome_element(algebra: LeavittAlgebra, outcome) -> Element:
     if isinstance(outcome, CyclePolynomial):
         cycle = outcome.cycle
         require_cycle(g, cycle)
-        g.path(cycle.source, cycle.edges)
         if cycle.source != outcome.vertex:
             raise AlgebraError("cycle polynomial based off its vertex")
         if _first_bifurcation(g, cycle) is not None:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,10 @@ from leavitt import (
     Path,
     PrimeField,
     QQ,
+    UnknownVertexError,
     ZeroElementError,
     parse_element,
+    paths_from_by_length,
     special_edges,
 )
 from leavitt.sampling import (
@@ -469,6 +472,64 @@ def test_element_construction_validates_paths(algebras):
     short = Monomial(Path("v1", ("a",), "v3"), L3.graph.trivial_path("v3"))
     with pytest.raises(GraphError):
         L3.element(((1, short),))
+    # The builders check the trivial path at the range first, then the path.
+    for build in (L3.path_element, L3.path_star_element):
+        with pytest.raises(GraphError, match="edge 'b' starts at 'v2', expected 'v1'"):
+            build(real)
+        message = "path ('a',) from 'v1' ends at 'v2', not at its range 'v3'"
+        with pytest.raises(GraphError, match=re.escape(message)):
+            build(short.real)
+        with pytest.raises(UnknownVertexError, match="unknown vertex 'zz'"):
+            build(Path("v1", ("a",), "zz"))
+    for build in (L3.edge, L3.ghost):
+        with pytest.raises(GraphError, match="unknown edge 'zz'"):
+            build("zz")
+
+
+def test_generators_are_their_own_normal_forms(graphs):
+    rng = random.Random(79)
+    samples = [random_graph(rng, max_vertices=5, max_edges=8) for _ in range(20)]
+    for g in list(graphs.values()) + samples:
+        for field in (QQ, PrimeField(5)):
+            A = LeavittAlgebra(g, field)
+            for e in g.edges:
+                t, p = g.trivial_path(e.range), g.path(e.source, (e.name,))
+                x, y = A.edge(e.name), A.ghost(e.name)
+                assert x == A.normal_form(((1, Monomial(p, t)),))
+                assert y == A.normal_form(((1, Monomial(t, p)),))
+                assert type(x.items()[0][0]) is type(y.items()[0][0]) is Monomial
+            for v in g.vertices:
+                for layer in paths_from_by_length(g, v, 3):
+                    for p in layer:
+                        t = g.trivial_path(p.range)
+                        assert A.path_element(p) == A.monomial(p, t)
+                        assert A.path_star_element(p) == A.monomial(t, p)
+
+
+def test_generators_are_built_without_normalizing(algebras, monkeypatch):
+    calls = []
+    normalize = LeavittAlgebra._normalize
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return normalize(self, *args, **kwargs)
+
+    monkeypatch.setattr(LeavittAlgebra, "_normalize", counted)
+    for A in algebras.values():
+        g = A.graph
+        built = [A.one()] + [A.vertex(v) for v in g.vertices]
+        built += [A.edge(e.name) for e in g.edges]
+        built += [A.ghost(e.name) for e in g.edges]
+        for v in g.vertices:
+            for layer in paths_from_by_length(g, v, 2):
+                for p in layer:
+                    built += [A.path_element(p), A.path_star_element(p)]
+        built += [x.local_unit() for x in built]
+    assert calls == []
+    # Sums of generators are still normalized.
+    W = algebras["W"]
+    W.edge("e") + W.ghost("e")
+    assert calls == [1]
 
 
 def test_step_limit_guard(graphs):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from leavitt import (
     Graph,
     GraphError,
     GraphParseError,
+    Path,
     SubsetError,
     UnknownVertexError,
     condition_L,
@@ -24,6 +26,7 @@ from leavitt import (
     paths_from_by_length,
     quotient_graph,
     require_cycle,
+    socle_structure,
     to_dot,
     tree,
     vertex_ideal_minimal,
@@ -177,12 +180,12 @@ def test_lazy_in_edges_match_an_eager_rebuild():
         # First query on a fresh graph.
         assert g._in is None
         assert {v: g.in_edges(v) for v in g.vertices} == _eager_in_edges(g)
-        # After queries that walk forwards only, and after the sweeps that
-        # build the in-edges themselves.
+        # After queries that walk forwards only, and after the closure,
+        # which builds the in-edges itself.
         parsed.sinks()
         tree(parsed, parsed.vertices[0])
-        assert parsed._in is None
         line_points(parsed)
+        assert parsed._in is None
         hereditary_saturated_closure(parsed, parsed.vertices[:1])
         assert {v: parsed.in_edges(v) for v in parsed.vertices} == _eager_in_edges(
             parsed
@@ -366,6 +369,11 @@ def test_require_cycle(graphs):
         require_cycle(R2, R2.path("v", ["g", "h"]))
     with pytest.raises(CycleError):
         require_cycle(T, T.trivial_path("v"))
+    # Closed on the ranges alone: e starts at u, and f does not reach u.
+    with pytest.raises(GraphError, match="edge 'e' starts at 'u', expected 'v'"):
+        require_cycle(T, Path("v", ("e",), "v"))
+    with pytest.raises(GraphError, match="not at its range 'u'"):
+        require_cycle(T, Path("v", ("f",), "u"))
 
 
 def test_cycle_has_exit(graphs):
@@ -445,6 +453,34 @@ def test_hedgehog_finite_entries(graphs):
         ("f", "v", "v"),
         ("@e", "e", "v"),
     ]
+    # Graph names may hold "." and "@", so a spine name can repeat one of
+    # the graph's names, or another spine's; the hedgehog's Graph refuses.
+    clashes = [
+        (
+            Graph(["c", "s", "@a"], [Edge("l", "c", "c"), Edge("a", "c", "s")]),
+            {"s", "@a"},
+            "@a",
+        ),
+        (
+            Graph(
+                ["x", "y", "s"],
+                [
+                    Edge("a", "x", "y"),
+                    Edge("b", "y", "s"),
+                    Edge("a.b", "x", "s"),
+                    Edge("l", "y", "y"),
+                ],
+            ),
+            {"s"},
+            "a.b",
+        ),
+    ]
+    for g, h, name in clashes:
+        message = re.escape("duplicate name %r" % name)
+        with pytest.raises(GraphError, match=message):
+            hedgehog_graph(g, h, 2)
+        with pytest.raises(GraphError, match=message):
+            socle_structure(g, 2)
 
 
 def test_hedgehog_truncates_behind_a_blocking_cycle(graphs):

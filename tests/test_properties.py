@@ -9,8 +9,6 @@ import pickle
 from dataclasses import make_dataclass
 
 import pytest
-
-hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from leavitt import (
