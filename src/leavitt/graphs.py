@@ -23,6 +23,12 @@ hedgehog_graph) check their vertex arguments once, at entry, and then read
 the graph's adjacency maps: out-edges from ``Graph._out`` and in-edges from
 ``Graph._in_map()``, both in declaration order. Only the public lookups
 check a vertex on every call.
+
+Graphs are checked likewise, once, where their parts enter: the Graph
+constructor checks every name and endpoint. parse_graph checks a text with
+line numbers, quotient_graph restricts a checked graph to a hereditary
+saturated complement, and hedgehog_graph counts its distinct names; each
+then builds through the unchecked Graph._built, which no other code calls.
 """
 
 from __future__ import annotations
@@ -100,31 +106,46 @@ class Graph:
     __slots__ = ("vertices", "edges", "_vindex", "_eindex", "_out", "_in", "_hash")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge] = ()):
-        self.vertices = tuple(vertices)
-        self.edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
-        if not self.vertices:
+        vertices = tuple(vertices)
+        edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
+        if not vertices:
             raise GraphError("a graph needs at least one vertex")
         names: set[str] = set()
-        for v in self.vertices:
+        for v in vertices:
             if not v:
                 raise GraphError("empty vertex name")
             if v in names:
                 raise GraphError("duplicate name %r" % v)
             names.add(v)
-        self._vindex = {v: i for i, v in enumerate(self.vertices)}
-        self._eindex: dict[str, int] = {}
-        out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for i, e in enumerate(self.edges):
+        vset = frozenset(names)
+        for e in edges:
             if not e.name:
                 raise GraphError("empty edge name")
             if e.name in names:
                 raise GraphError("duplicate name %r" % e.name)
             names.add(e.name)
-            if e.source not in self._vindex:
+            if e.source not in vset:
                 raise GraphError("edge %r has unknown source %r" % (e.name, e.source))
-            if e.range not in self._vindex:
+            if e.range not in vset:
                 raise GraphError("edge %r has unknown range %r" % (e.name, e.range))
-            self._eindex[e.name] = i
+        self._build(vertices, edges)
+
+    @classmethod
+    def _built(cls, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> Graph:
+        """A graph from parts its caller has already checked as __init__
+        would; only parse_graph, quotient_graph and hedgehog_graph use it."""
+        graph = cls.__new__(cls)
+        graph._build(vertices, edges)
+        return graph
+
+    def _build(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> None:
+        """Fill the slots from checked parts; the only code that does."""
+        self.vertices = vertices
+        self.edges = edges
+        self._vindex = {v: i for i, v in enumerate(vertices)}
+        self._eindex = {e.name: i for i, e in enumerate(edges)}
+        out: dict[str, list[Edge]] = {v: [] for v in vertices}
+        for e in edges:
             out[e.source].append(e)
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in: dict[str, tuple[Edge, ...]] | None = None
@@ -332,7 +353,7 @@ def parse_graph(text: str) -> Graph:
         if range_ not in names:
             raise GraphParseError("unknown range vertex %r" % range_, lineno)
         edges.append(Edge(name, names[source], names[range_]))
-    return Graph(vertices, edges)
+    return Graph._built(tuple(vertices), tuple(edges))
 
 
 # ----------------------------------------------------------------------
@@ -437,13 +458,13 @@ def vertex_ideal_minimal(graph: Graph, vertex: str) -> bool:
 def _vertex_set(graph: Graph, subset: Iterable[str]) -> frozenset[str]:
     """The given vertices as a set, checked to lie in the graph.
 
-    One subset test checks them all; only when it fails are they checked
-    one by one, to name an unknown vertex.
+    One subset test checks them all; only when it fails is an unknown
+    vertex named: the one whose repr sorts first, so that the message does
+    not depend on the order in which the set hashes its names.
     """
     vs = frozenset(subset)
     if not vs <= graph._vindex.keys():
-        for v in vs:
-            graph.require_vertex(v)
+        graph.require_vertex(min(vs - graph._vindex.keys(), key=repr))
     return vs
 
 
@@ -588,10 +609,10 @@ def quotient_graph(graph: Graph, subset: Iterable[str]) -> Graph:
         raise SubsetError("subset is not hereditary")
     if not is_saturated(graph, h):
         raise SubsetError("subset is not saturated")
-    vertices = [v for v in graph.vertices if v not in h]
+    vertices = tuple(v for v in graph.vertices if v not in h)
     if not vertices:
         raise SubsetError("quotient by the whole vertex set is empty")
-    return Graph(vertices, [e for e in graph.edges if e.range not in h])
+    return Graph._built(vertices, tuple(e for e in graph.edges if e.range not in h))
 
 
 @dataclass(frozen=True)
@@ -733,12 +754,17 @@ def hedgehog_graph(
     """Attach a spine vertex and edge for each path entering a hereditary set.
 
     The spines are the entry paths up to the depth bound (vertex count + 1
-    when omitted, else a nonnegative int). As the set is hereditary, an entry path is a path ending
-    at the source of an edge into it plus that edge, so the path counts at
-    those sources add up to their number, finite exactly when no blocking
-    cycle (found by one backward search) reaches the set. The result is
-    complete when the spines reach that number. More than MAX_ENTRY_PATHS
-    spines raise GraphError, as in entry_paths.
+    when omitted, else a nonnegative int). As the set is hereditary, an
+    entry path is a path ending at the source of an edge into it plus that
+    edge, so the path counts at those sources add up to their number,
+    finite exactly when no blocking cycle (found by one backward search)
+    reaches the set. The result is complete when the spines reach that
+    number. More than MAX_ENTRY_PATHS spines raise GraphError, as in
+    entry_paths.
+
+    Names in a graph built directly may contain ``.`` and ``@``, so a spine
+    name can collide with another name; one count of the distinct names
+    finds that, and the public constructor then reports the duplicate.
     """
     ideal = graph.sorted_vertices(subset)
     h = frozenset(ideal)
@@ -765,8 +791,10 @@ def hedgehog_graph(
         edges.append(Edge("@" + name, name, p.range))
     if not vertices:
         raise SubsetError("hedgehog of the empty set is empty")
+    distinct = len({*vertices, *(e.name for e in edges)})
+    build = Graph._built if distinct == len(vertices) + len(edges) else Graph
     return HedgehogGraph(
-        graph=Graph(vertices, edges),
+        graph=build(tuple(vertices), tuple(edges)),
         ideal_part=ideal,
         entry_part=tuple(entry_names),
         complete=complete,

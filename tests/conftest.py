@@ -11,7 +11,7 @@ LS  a loop with an exit into a sink: nonzero socle smaller than the algebra,
 
 import pytest
 
-from leavitt import LeavittAlgebra, parse_graph
+from leavitt import Graph, GraphError, LeavittAlgebra, parse_graph
 
 FIXTURE_TEXTS = {
     "L3": "vertices: v1 v2 v3\nedge a: v1 -> v2\nedge b: v2 -> v3\n",
@@ -20,6 +20,36 @@ FIXTURE_TEXTS = {
     "R2": "vertices: v\nedge g: v -> v\nedge h: v -> v\n",
     "LS": "vertices: u v\nedge c: u -> u\nedge e: u -> v\n",
 }
+
+
+def _slots(graph: Graph) -> dict:
+    return {name: getattr(graph, name) for name in Graph.__slots__}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def trusted_graphs_are_checked():
+    """Wrap Graph._built, the build that skips the checks, for the whole
+    run: the public constructor must accept the same parts and fill every
+    slot alike. It is called through the ``__init__`` saved here, so a test
+    that patches ``Graph.__init__`` to count calls does not see these."""
+    built, init = Graph._built.__func__, Graph.__init__
+
+    def checked(cls, vertices, edges):
+        graph = built(cls, vertices, edges)
+        public = Graph.__new__(Graph)
+        # pytest.fail is no Exception, so no pytest.raises or except in the
+        # library can take a rejection here for the error it expects.
+        try:
+            init(public, vertices, edges)
+        except GraphError as error:
+            pytest.fail("Graph() rejects parts built unchecked: %s" % error)
+        if _slots(public) != _slots(graph):
+            pytest.fail("Graph() builds other slots than the unchecked build")
+        return graph
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Graph, "_built", classmethod(checked))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -344,10 +344,11 @@ def test_output_is_deterministic(capsys, write_graph):
     assert first == second
 
 
-def _run_module(tmp_path, *argv):
-    """Run the CLI as a child process, as the installed script would."""
+def _run_module(tmp_path, *argv, **env):
+    """Run the CLI as a child process, as the installed script would, with
+    the given variables added to its environment."""
     src = os.path.dirname(os.path.dirname(leavitt.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **env)
     return subprocess.run([sys.executable, "-m", "leavitt.cli", *argv],
                           capture_output=True, text=True, env=env, cwd=tmp_path)
 
@@ -363,6 +364,16 @@ def test_socle_of_a_long_line(tmp_path):
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     assert proc.stdout.splitlines()[2] == "summands: 1000"
+
+
+def test_unknown_vertex_error_does_not_depend_on_hash_seed(tmp_path, write_graph):
+    path = write_graph("W")
+    errors = {
+        _run_module(tmp_path, "closure", path, "--set", "zz,yy,xx",
+                    PYTHONHASHSEED=str(seed)).stderr
+        for seed in range(6)
+    }
+    assert errors == {"error: unknown vertex 'xx'\n"}
 
 
 def test_eval_rejects_deep_nesting(capsys, write_graph):

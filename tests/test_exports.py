@@ -1,5 +1,6 @@
-"""The package's public surface: the names ``leavitt`` exports, and no
-module importing a name it never uses."""
+"""The package's public surface: the names ``leavitt`` exports, no module
+importing a name it never uses, and the one unchecked graph build used only
+where the parts were already checked."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,38 @@ def test_modules_use_every_name_they_import():
         if (names := _unused_imports(p.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def _enclosing_functions(tree: ast.AST, name: str) -> list[str | None]:
+    """The innermost function around each read of the attribute or name,
+    None at module or class level."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.Name) and node.id == name):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_three_builders_skip_the_graph_checks():
+    """``Graph._built`` trusts its parts. Only parse_graph, quotient_graph
+    and hedgehog_graph, which check those parts themselves, may use it."""
+    package = Path(leavitt.__file__).parent
+    users = {
+        (p.name, where)
+        for p in sorted(package.glob("*.py"))
+        for where in _enclosing_functions(
+            ast.parse(p.read_text(encoding="utf-8")), "_built")
+    }
+    assert users == {
+        ("graphs.py", "parse_graph"),
+        ("graphs.py", "quotient_graph"),
+        ("graphs.py", "hedgehog_graph"),
+    }

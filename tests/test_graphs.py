@@ -104,6 +104,77 @@ def test_graph_constructor_validation():
         Graph([""])
 
 
+def _message(build, error=GraphError) -> str:
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    return str(info.value)
+
+
+def test_constructor_messages_and_first_fault(graphs):
+    """The full message of every fault of Graph, parse_graph and
+    quotient_graph, and which of several faults each reports first: Graph
+    checks all vertices, then each edge in turn (name, then source, then
+    range); parse_graph checks each line as read, then the endpoints."""
+    cases = {
+        # Graph's six faults.
+        "a graph needs at least one vertex": lambda: Graph([]),
+        "empty vertex name": lambda: Graph(["a", ""]),
+        "duplicate name 'a'": lambda: Graph(["a", "a"]),
+        "empty edge name": lambda: Graph(["a"], [Edge("", "a", "a")]),
+        "edge 'e' has unknown source 'zz'": lambda: Graph(["a"], [Edge("e", "zz", "a")]),
+        "edge 'e' has unknown range 'b'": lambda: Graph(["a"], [("e", "a", "b")]),
+    }
+    for message, build in cases.items():
+        assert _message(build) == message
+    first_faults = [
+        (lambda: Graph(["a"], [Edge("e", "zz", "a"), Edge("a", "a", "a")]),
+         "edge 'e' has unknown source 'zz'"),
+        (lambda: Graph(["", "a", "a"]), "empty vertex name"),
+        (lambda: Graph(["a", "a", ""]), "duplicate name 'a'"),
+        (lambda: Graph(["a", "a"], [Edge("", "zz", "zz")]), "duplicate name 'a'"),
+        (lambda: Graph(["a"], [Edge("a", "zz", "yy")]), "duplicate name 'a'"),
+        (lambda: Graph(["a"], [Edge("e", "zz", "yy")]), "edge 'e' has unknown source 'zz'"),
+        (lambda: Graph(["a"], [Edge("e", "a", "yy"), Edge("", "a", "a")]),
+         "edge 'e' has unknown range 'yy'"),
+        (lambda: Graph(["a"], [Edge("e", "a", "a"), Edge("e", "zz", "a")]),
+         "duplicate name 'e'"),
+    ]
+    for build, message in first_faults:
+        assert _message(build) == message
+
+    parse_cases = {
+        "vertices:\n": "line 1: empty vertex list",
+        "vertices: a\nnonsense\n": "line 2: cannot parse 'nonsense'",
+        "vertices: a 1b\n": "line 1: bad vertex name '1b'",
+        "vertices: a a\n": "line 1: duplicate name 'a'",
+        "vertices: a\nedge a: a -> a\n": "line 2: duplicate name 'a'",
+        "edge e: a -> a\nvertices: a\nvertices: e\n": "line 3: duplicate name 'e'",
+        "vertices: a\nedge e: a -> b\n": "line 2: unknown range vertex 'b'",
+        "vertices: a\nedge e: c -> a\n": "line 2: unknown source vertex 'c'",
+        "vertices: a\nedge e: c -> d\n": "line 2: unknown source vertex 'c'",
+        "edge e: c -> a\nvertices: a\nedge f: a -> b\n": "line 1: unknown source vertex 'c'",
+        "vertices: a\nedge e: a -> b\nnonsense\n": "line 3: cannot parse 'nonsense'",
+        "# empty\n": "no vertices declared",
+        "edge e: a -> a\n": "no vertices declared",
+    }
+    for text, message in parse_cases.items():
+        assert _message(lambda: parse_graph(text), GraphParseError) == message
+
+    W, R2 = graphs["W"], graphs["R2"]
+    quotient_cases = [
+        (W, {"z"}, "subset is not hereditary"),
+        (W, {"z", "v"}, "subset is not hereditary"),
+        (W, {"v", "w"}, "subset is not saturated"),
+        (R2, {"v"}, "quotient by the whole vertex set is empty"),
+    ]
+    for g, h, message in quotient_cases:
+        assert _message(lambda: quotient_graph(g, h), SubsetError) == message
+    assert _message(lambda: quotient_graph(W, {"zz"}), UnknownVertexError) == (
+        "unknown vertex 'zz'"
+    )
+
+
 def test_graph_equality_and_queries(graphs):
     g = graphs["W"]
     assert g == parse_graph(FIXTURE_TEXTS["W"])

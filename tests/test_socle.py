@@ -35,6 +35,7 @@ from leavitt.sampling import (
     random_nonzero_element,
 )
 
+from conftest import FIXTURE_TEXTS
 import oracles
 
 
@@ -233,13 +234,10 @@ def test_structure_hedgehog_truncation(graphs):
     assert socle_structure(graphs["R2"], depth_bound=0).hedgehog is None
 
 
-def test_structure_builds_each_spine_once(monkeypatch):
-    """K5 without loops plus an edge into a sink s has 4^(l-1) entry paths
-    of length l: 5,461 up to the default bound 7. They are built in
-    shortlex order, so none is sorted, and the sweeps read the adjacency
-    maps, so no vertex is looked up edge by edge."""
+def _k5_plus_sink() -> Graph:
+    """K5 without loops plus an edge into a sink s."""
     names = ["k%d" % i for i in range(5)]
-    g = parse_graph(
+    return parse_graph(
         "vertices: %s s\n" % " ".join(names)
         + "".join(
             "edge %s_%s: %s -> %s\n" % (u, v, u, v)
@@ -247,6 +245,14 @@ def test_structure_builds_each_spine_once(monkeypatch):
         )
         + "edge out: k0 -> s\n"
     )
+
+
+def test_structure_builds_each_spine_once(monkeypatch):
+    """K5 without loops plus an edge into a sink s has 4^(l-1) entry paths
+    of length l: 5,461 up to the default bound 7. They are built in
+    shortlex order, so none is sorted, and the sweeps read the adjacency
+    maps, so no vertex is looked up edge by edge."""
+    g = _k5_plus_sink()
 
     def count(name):
         calls = []
@@ -265,6 +271,37 @@ def test_structure_builds_each_spine_once(monkeypatch):
     assert not hh.complete
     assert len(entry_paths(g, {"s"}, 7)) == 5461
     assert [len(c) for c in calls] == [0, 0, 0]
+
+
+def test_library_graphs_are_checked_once(monkeypatch, algebras):
+    """Parsed files, quotients and hedgehogs are built from parts already
+    checked, so none goes through the checks of Graph.__init__ again. The
+    conftest wrapper of the unchecked build calls the constructor it saved
+    before this patch, so its own calls are not counted."""
+    calls = []
+    init = Graph.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    counts = {}
+    g = _k5_plus_sink()
+    calls.clear()
+    assert len(socle_structure(g).hedgehog.entry_part) == 5461
+    counts["socle_structure(K5 + sink)"] = len(calls)
+    calls.clear()
+    for text in FIXTURE_TEXTS.values():
+        parse_graph(text)
+    counts["parse_graph"] = len(calls)
+    calls.clear()
+    LS = algebras["LS"]
+    assert not in_socle(LS.vertex("u")) and in_socle(LS.vertex("v"))
+    counts["in_socle(LS)"] = len(calls)
+    assert counts == dict.fromkeys(counts, 0)
+    Graph(["a"])  # the counter does see the public constructor
+    assert len(calls) == 1
 
 
 def test_summand_texts_mixes_finite_and_infinite(graphs):
