@@ -24,9 +24,12 @@ DEFAULT_STEP_LIMIT steps. A monomial and its paths are tuples, so they hash
 and compare in C; a monomial stores nothing but its two paths. A vertex,
 edge, ghost, path or ghost path has a trivial part, so it is never a redex
 and is built as its own normal form; only combinations of monomials are
-normalized. Input from outside is still checked, by walking its edges
-through the graph, which builds no paths. Operations on elements of one
-algebra never compare graphs, so graph size does not enter their cost.
+normalized. Input is checked once, where it enters: normal_form_steps
+walks each outside monomial's edges through the graph, which builds no
+paths, and coerces its coefficient. Sums, products, the involution and
+quotient images trust the normal forms they start from. Operations on
+elements of one algebra never compare graphs, so graph size does not
+enter their cost.
 
 Coefficients come from leavitt.fields, so everything here is exact.
 """
@@ -141,11 +144,11 @@ class LeavittAlgebra:
         return Element(self, ())
 
     def _vertex_sum(self, vertices: Iterable[str]) -> "Element":
-        """The sum of distinct vertices, given in declaration order."""
+        """The sum of distinct vertices, trusted, in declaration order."""
         one = self.field.one()
         return Element(
             self,
-            tuple((Monomial(t, t), one) for t in map(self.graph.trivial_path, vertices)),
+            tuple((Monomial(t, t), one) for t in (Path(v, (), v) for v in vertices)),
         )
 
     def one(self) -> "Element":
@@ -153,7 +156,7 @@ class LeavittAlgebra:
         return self._vertex_sum(self.graph.vertices)
 
     def vertex(self, name: str) -> "Element":
-        return self._vertex_sum((name,))
+        return self._vertex_sum((self.graph.require_vertex(name),))
 
     def _generator(self, real: Path, ghost: Path) -> "Element":
         """p q* with a trivial part, checked by the caller: never a redex."""
@@ -194,7 +197,9 @@ class LeavittAlgebra:
         pairs: Iterable[tuple[object, Monomial]],
         max_steps: int = DEFAULT_STEP_LIMIT,
     ) -> tuple["Element", int]:
-        terms, steps = self._normalize(pairs, max_steps)
+        # The one entry that checks: each monomial, then its coefficient.
+        check, coerce = self._check_monomial, self.field.coerce
+        terms, steps = self._normalize(((check(m), coerce(c)) for c, m in pairs), max_steps)
         return Element(self, terms), steps
 
     # ------------------------------------------------------------------
@@ -216,13 +221,14 @@ class LeavittAlgebra:
             sort_key(ghost),
         )
 
-    def _check_monomial(self, m: Monomial) -> None:
+    def _check_monomial(self, m: Monomial) -> Monomial:
         real, ghost = m.real, m.ghost
         if real.range != ghost.range:
             # _make and _replace skip Monomial.__new__; let it refuse them.
             Monomial(real, ghost)
         self.graph.require_path(real)
         self.graph.require_path(ghost)
+        return m
 
     def _is_reducible(self, m: Monomial) -> bool:
         if not m.real.edges or not m.ghost.edges:
@@ -259,42 +265,39 @@ class LeavittAlgebra:
             out.append((-1, new(Monomial, parts)))
         return out
 
-    def _normalize(self, pairs, max_steps, check=True):
+    def _normalize(self, terms, max_steps=DEFAULT_STEP_LIMIT):
         """Rewrite until no redex is left; return sorted terms and steps.
 
-        The redex rewritten next is always the least live one by _mono_key.
-        It is popped from a heap with lazy deletion: an entry whose monomial
-        has since cancelled, or was rewritten already, is skipped, so each
-        step costs O(log n). With check false the input monomials are
-        trusted to chain and the coefficients to be scalars of the field, as
-        in sums and products of normal forms.
+        The (monomial, coefficient) terms are trusted to chain and to hold
+        scalars of the field; only normal_form_steps checks. The redex
+        rewritten next is always the least live one by _mono_key. It is
+        popped from a heap with lazy deletion: an entry whose monomial has
+        since cancelled, or was rewritten already, is skipped, so each step
+        costs O(log n).
         """
         key = self._mono_key
-        terms: dict[Monomial, object] = {}
+        live: dict[Monomial, object] = {}
         # Keys tie only for equal monomials, which an entry gets twice when
         # it cancels and comes back; those compare equal as tuples.
         heap: list = []
 
         def acc(m: Monomial, c) -> None:
-            cur = terms.get(m)
+            cur = live.get(m)
             total = c if cur is None else cur + c
             if total:
-                terms[m] = total
+                live[m] = total
                 if cur is None and self._is_reducible(m):
                     heappush(heap, (key(m), m))
             elif cur is not None:
-                del terms[m]
+                del live[m]
 
-        for coeff, m in pairs:
-            if check:
-                self._check_monomial(m)
-                coeff = self.field.coerce(coeff)
-            acc(m, coeff)
+        for m, c in terms:
+            acc(m, c)
         steps = 0
         while heap:
             m = heappop(heap)[1]
             # Only redexes are pushed, so a live entry is a live redex.
-            c = terms.pop(m, None)
+            c = live.pop(m, None)
             if c is None:
                 continue
             if steps >= max_steps:
@@ -303,7 +306,7 @@ class LeavittAlgebra:
             for sign, piece in self._rewrite(m):
                 acc(piece, c if sign > 0 else neg)
             steps += 1
-        ordered = tuple(sorted(terms.items(), key=lambda kv: key(kv[0])))
+        ordered = tuple(sorted(live.items(), key=lambda kv: key(kv[0])))
         return ordered, steps
 
     # ------------------------------------------------------------------
@@ -510,12 +513,7 @@ class Element:
             return NotImplemented
         self._require_same(other)
         # A sum of normal forms has no redex, so nothing is rewritten.
-        terms, _ = self.algebra._normalize(
-            ((c, m) for m, c in self._terms + other._terms),
-            DEFAULT_STEP_LIMIT,
-            check=False,
-        )
-        return Element(self.algebra, terms)
+        return Element(self.algebra, self.algebra._normalize(self._terms + other._terms)[0])
 
     def __neg__(self) -> "Element":
         return Element(self.algebra, tuple((m, -c) for m, c in self._terms))
@@ -539,12 +537,9 @@ class Element:
                 for m2, c2 in other._terms:
                     prod = self.algebra._mono_mul_raw(m1, m2)
                     if prod is not None:
-                        raw.append((c1 * c2, prod))
+                        raw.append((prod, c1 * c2))
             # Products of normal-form monomials chain by construction.
-            terms, _ = self.algebra._normalize(
-                raw, DEFAULT_STEP_LIMIT, check=False
-            )
-            return Element(self.algebra, terms)
+            return Element(self.algebra, self.algebra._normalize(raw)[0])
         try:
             return self._scaled(other)
         except FieldError:
@@ -558,9 +553,9 @@ class Element:
 
     def involution(self) -> "Element":
         """The anti-automorphism swapping each p q* for q p*."""
-        return self.algebra.element(
-            (c, Monomial(m.ghost, m.real)) for m, c in self._terms
-        )
+        # q p* is a redex exactly when p q* is: only the order changes.
+        swapped = ((Monomial(m.ghost, m.real), c) for m, c in self._terms)
+        return Element(self.algebra, self.algebra._normalize(swapped)[0])
 
     # ------------------------------------------------------------------
     # text

@@ -22,13 +22,15 @@ checks and closure, the backward and cycle searches, entry_paths,
 hedgehog_graph) check their vertex arguments once, at entry, and then read
 the graph's adjacency maps: out-edges from ``Graph._out`` and in-edges from
 ``Graph._in_map()``, both in declaration order. Only the public lookups
-check a vertex on every call.
+check a vertex on every call. The in-edges and the path counts are
+computed once per graph, on first use, and kept on it.
 
 Graphs are checked likewise, once, where their parts enter: the Graph
-constructor checks every name and endpoint. parse_graph checks a text with
-line numbers, quotient_graph restricts a checked graph to a hereditary
-saturated complement, and hedgehog_graph counts its distinct names; each
-then builds through the unchecked Graph._built, which no other code calls.
+constructor checks every name (a non-empty unique string) and endpoint.
+parse_graph checks a text with line numbers, quotient_graph restricts a
+checked graph to a hereditary saturated complement, and hedgehog_graph
+counts its distinct names; each then builds through the unchecked
+Graph._built, which no other code calls.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class Path(NamedTuple):
 class Graph:
     """An immutable finite directed graph with named vertices and edges."""
 
-    __slots__ = ("vertices", "edges", "_vindex", "_eindex", "_out", "_in", "_hash")
+    __slots__ = ("vertices", "edges", "_vindex", "_eindex", "_out", "_in", "_hash", "_counts")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge] = ()):
         vertices = tuple(vertices)
@@ -112,6 +114,8 @@ class Graph:
             raise GraphError("a graph needs at least one vertex")
         names: set[str] = set()
         for v in vertices:
+            if not isinstance(v, str):
+                raise GraphError("vertex name %r is not a string" % (v,))
             if not v:
                 raise GraphError("empty vertex name")
             if v in names:
@@ -119,6 +123,8 @@ class Graph:
             names.add(v)
         vset = frozenset(names)
         for e in edges:
+            if not isinstance(e.name, str):
+                raise GraphError("edge name %r is not a string" % (e.name,))
             if not e.name:
                 raise GraphError("empty edge name")
             if e.name in names:
@@ -150,6 +156,7 @@ class Graph:
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in: dict[str, tuple[Edge, ...]] | None = None
         self._hash: int | None = None
+        self._counts: dict[str, int | None] | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -387,19 +394,23 @@ def _path_counts(graph: Graph) -> dict[str, int | None]:
     and None exactly where a cycle reaches the vertex.
 
     Kahn's sweep settles a vertex once all its in-neighbours are settled;
-    the vertices it never settles are those that some cycle reaches.
+    the vertices it never settles are those that some cycle reaches. The
+    graph keeps the counts, as it keeps its in-edges, so the sweep runs
+    once per graph; callers only read them.
     """
-    out, inn = graph._out, graph._in_map()
-    waiting = {v: len(es) for v, es in inn.items()}
-    counts: dict[str, int | None] = dict.fromkeys(graph.vertices)
-    ready = [v for v in graph.vertices if not waiting[v]]
-    for v in ready:
-        counts[v] = 1 + sum(counts[e.source] for e in inn[v])
-        for e in out[v]:
-            waiting[e.range] -= 1
-            if not waiting[e.range]:
-                ready.append(e.range)
-    return counts
+    if graph._counts is None:
+        out, inn = graph._out, graph._in_map()
+        waiting = {v: len(es) for v, es in inn.items()}
+        counts: dict[str, int | None] = dict.fromkeys(graph.vertices)
+        ready = [v for v in graph.vertices if not waiting[v]]
+        for v in ready:
+            counts[v] = 1 + sum(counts[e.source] for e in inn[v])
+            for e in out[v]:
+                waiting[e.range] -= 1
+                if not waiting[e.range]:
+                    ready.append(e.range)
+        graph._counts = counts
+    return graph._counts
 
 
 def is_acyclic(graph: Graph) -> bool:

@@ -67,7 +67,7 @@ def quotient_image(
     The set must be hereditary and saturated. A monomial survives exactly
     when its range lies outside the set, since a path that enters a
     hereditary set stays in it, so its edges all survive too; survivors are
-    checked and renormalized on the quotient side. Passing a target algebra
+    trusted and renormalized on the quotient side. Passing a target algebra
     (over the quotient graph, same field) lets several images land in one
     algebra.
     """
@@ -82,7 +82,8 @@ def quotient_image(
         raise MixedContextError(
             "target algebra is not over the quotient graph and field"
         )
-    return target.element((c, m) for m, c in x.items() if m.real.range not in h)
+    kept = ((m, c) for m, c in x.items() if m.real.range not in h)
+    return Element(target, target._normalize(kept)[0])
 
 
 def in_socle(x: Element) -> bool:
@@ -147,17 +148,15 @@ def socle_structure(graph: Graph, depth_bound: int | None = None) -> SocleReport
     """
     depth_bound = _depth_bound(graph, depth_bound)
     h = socle_generators(graph)
-    counts = _path_counts(graph)
+    hedgehog = hedgehog_graph(graph, h, depth_bound) if h else None
     # H is the closure of the sinks, so every sink lies in H.
-    sizes = [counts[w] for w in graph.sinks()]
-    summands = tuple(sorted(n for n in sizes if n is not None)) + tuple(
-        n for n in sizes if n is None
-    )
+    sizes = list(map(_path_counts(graph).__getitem__, graph.sinks()))
+    summands = tuple(sorted(n for n in sizes if n is not None)) + (None,) * sizes.count(None)
     return SocleReport(
         line_points=line_points(graph),
-        closure_h=graph.sorted_vertices(h),
+        closure_h=hedgehog.ideal_part if h else (),
         summands=summands,
-        hedgehog=hedgehog_graph(graph, h, depth_bound) if h else None,
+        hedgehog=hedgehog,
         socle_is_whole=len(h) == len(graph.vertices),
     )
 

@@ -1,11 +1,13 @@
 """The package's public surface: the names ``leavitt`` exports, no module
-importing a name it never uses, and the one unchecked graph build used only
-where the parts were already checked."""
+importing a name it never uses, the one unchecked graph build used only
+where the parts were already checked, and the one entry that checks
+elements."""
 
 import ast
 from pathlib import Path
 
 import leavitt
+from leavitt import Edge, Graph, LeavittAlgebra, in_socle, parse_element, parse_graph
 
 EXPORTS = [
     "AlgebraError", "CycleError", "CyclePolynomial", "CyclicGraphError",
@@ -64,17 +66,21 @@ def test_modules_use_every_name_they_import():
 
 def _enclosing_functions(tree: ast.AST, name: str) -> list[str | None]:
     """The innermost function around each read of the attribute or name,
-    None at module or class level."""
+    qualified by its classes (``Class.method``), None at module or class
+    level."""
     found = []
 
-    def visit(node, where):
+    def visit(node, where, scope=""):
+        if isinstance(node, ast.ClassDef):
+            scope += node.name + "."
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
+            where = scope + node.name
+            scope = where + "."
         if (isinstance(node, ast.Attribute) and node.attr == name
                 or isinstance(node, ast.Name) and node.id == name):
             found.append(where)
         for child in ast.iter_child_nodes(node):
-            visit(child, where)
+            visit(child, where, scope)
 
     visit(tree, None)
     return found
@@ -95,3 +101,64 @@ def test_only_three_builders_skip_the_graph_checks():
         ("graphs.py", "quotient_graph"),
         ("graphs.py", "hedgehog_graph"),
     }
+
+
+def test_only_normal_form_steps_checks_elements():
+    """Elements are checked once, where they enter: the monomial check is
+    read only by LeavittAlgebra.normal_form_steps, and the normalizer it
+    feeds has no option to check."""
+    package = Path(leavitt.__file__).parent
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(package.glob("*.py"))}
+    users = {
+        (name, where)
+        for name, tree in trees.items()
+        for where in _enclosing_functions(tree, "_check_monomial")
+    }
+    assert users == {("algebra.py", "LeavittAlgebra.normal_form_steps")}
+    normalizers = [
+        node for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_normalize"
+    ]
+    assert len(normalizers) == 1
+    args = normalizers[0].args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    assert params == ["self", "terms", "max_steps"]
+    assert args.vararg is None and args.kwarg is None
+
+
+def test_trusted_elements_walk_no_paths(monkeypatch):
+    """Sums, products, the involution, quotient images and the identity
+    start from what the library built, so none walks a path or looks up a
+    vertex again; a vertex named from outside is still looked up, once."""
+    LS = LeavittAlgebra(parse_graph("vertices: u v\nedge c: u -> u\nedge e: u -> v\n"))
+    line = LeavittAlgebra(Graph(
+        ["v%d" % i for i in range(1000)],
+        [Edge("e%d" % i, "v%d" % i, "v%d" % (i + 1)) for i in range(999)],
+    ))
+    calls = {"require_path": 0, "require_vertex": 0}
+    for name in calls:
+        method = getattr(Graph, name)
+
+        def counted(self, arg, name=name, method=method):
+            calls[name] += 1
+            return method(self, arg)
+
+        monkeypatch.setattr(Graph, name, counted)
+
+    def count(run):
+        before = dict(calls)
+        value = run()
+        return value, {k: calls[k] - before[k] for k in calls}
+
+    none = {"require_path": 0, "require_vertex": 0}
+    x, seen = count(lambda: parse_element(LS, "c e e^* c^* + c^*"))
+    assert str(x) == "1*c^* + 1*c e e^* c^*" and seen == none
+    y, seen = count(x.involution)
+    assert str(y) == "1*c + 1*c e e^* c^*" and seen == none
+    member, seen = count(lambda: in_socle(x))
+    assert member is False and seen == none
+    one, seen = count(line.one)
+    assert len(one.items()) == 1000 and seen == none
+    _, seen = count(lambda: LS.vertex("v"))
+    assert seen == {"require_path": 0, "require_vertex": 1}

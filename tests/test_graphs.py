@@ -115,10 +115,13 @@ def test_constructor_messages_and_first_fault(graphs):
     """The full message of every fault of Graph, parse_graph and
     quotient_graph, and which of several faults each reports first: Graph
     checks all vertices, then each edge in turn (name, then source, then
-    range); parse_graph checks each line as read, then the endpoints."""
+    range), a name's type before anything else about it; parse_graph
+    checks each line as read, then the endpoints."""
     cases = {
-        # Graph's six faults.
+        # Graph's eight faults.
         "a graph needs at least one vertex": lambda: Graph([]),
+        "vertex name 0 is not a string": lambda: Graph([0]),
+        "edge name 1 is not a string": lambda: Graph(["a"], [Edge(1, "a", "a")]),
         "empty vertex name": lambda: Graph(["a", ""]),
         "duplicate name 'a'": lambda: Graph(["a", "a"]),
         "empty edge name": lambda: Graph(["a"], [Edge("", "a", "a")]),
@@ -139,6 +142,16 @@ def test_constructor_messages_and_first_fault(graphs):
          "edge 'e' has unknown range 'yy'"),
         (lambda: Graph(["a"], [Edge("e", "a", "a"), Edge("e", "zz", "a")]),
          "duplicate name 'e'"),
+        (lambda: Graph(["", 0]), "empty vertex name"),
+        (lambda: Graph(["a", "a", None]), "duplicate name 'a'"),
+        (lambda: Graph(["a", ("a",)]), "vertex name ('a',) is not a string"),
+        (lambda: Graph(["a"], [Edge("e", "zz", "a"), Edge(["f"], "a", "a")]),
+         "edge 'e' has unknown source 'zz'"),
+        (lambda: Graph(["a"], [Edge(None, "zz", "a")]), "edge name None is not a string"),
+        (lambda: Graph(["a", "b"], [Edge("e", "a", 0)]), "edge 'e' has unknown range 0"),
+        # Once a bare TypeError from the spine name's join.
+        (lambda: hedgehog_graph(Graph(["a", "b"], [Edge(1, "a", "b")]), {"b"}),
+         "edge name 1 is not a string"),
     ]
     for build, message in first_faults:
         assert _message(build) == message

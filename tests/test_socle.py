@@ -304,6 +304,32 @@ def test_library_graphs_are_checked_once(monkeypatch, algebras):
     assert len(calls) == 1
 
 
+def test_structure_sweeps_the_path_counts_once_per_graph(monkeypatch):
+    """socle_structure reads the path counts for its summands and inside
+    hedgehog_graph; a graph computes them once. A sweep is a call that
+    hands back counts no earlier call handed back."""
+    results = []
+    sweep = leavitt.graphs._path_counts
+
+    def counted(graph):
+        counts = sweep(graph)
+        if not any(counts is seen for seen in results):
+            results.append(counts)
+        return counts
+
+    for module in (leavitt.graphs, leavitt.socle):
+        monkeypatch.setattr(module, "_path_counts", counted)
+    for g in [parse_graph(text) for text in FIXTURE_TEXTS.values()] + [_k5_plus_sink()]:
+        before = len(results)
+        first = socle_structure(g)
+        assert len(results) == before + 1
+        assert socle_structure(g) == first
+        assert len(results) == before + 1
+        # The kept counts take no part in equality or hashing.
+        twin = Graph(g.vertices, g.edges)
+        assert twin == g and hash(twin) == hash(g)
+
+
 def test_summand_texts_mixes_finite_and_infinite(graphs):
     report = socle_structure(graphs["LS"])
     assert report.summand_texts() == ("inf",)
