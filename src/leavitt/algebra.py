@@ -383,41 +383,25 @@ class LeavittAlgebra:
                 failures.append("%s: %s" % (label, detail))
 
         g = self.graph
+        zero = self.zero()
+        vertex = {v: self.vertex(v) for v in g.vertices}
+        edge = {e.name: self.edge(e.name) for e in g.edges}
+        ghost = {e.name: self.ghost(e.name) for e in g.edges}
         for v in g.vertices:
             for w in g.vertices:
-                expect = self.vertex(v) if v == w else self.zero()
-                note(
-                    "vertex-idempotents",
-                    self.vertex(v) * self.vertex(w) == expect,
-                    "%s %s" % (v, w),
-                )
+                expect = vertex[v] if v == w else zero
+                note("vertex-idempotents", vertex[v] * vertex[w] == expect, "%s %s" % (v, w))
         for e in g.edges:
-            note(
-                "source-range",
-                self.vertex(e.source) * self.edge(e.name) == self.edge(e.name)
-                and self.edge(e.name) * self.vertex(e.range) == self.edge(e.name),
-                e.name,
-            )
-            note(
-                "ghost-source-range",
-                self.vertex(e.range) * self.ghost(e.name) == self.ghost(e.name)
-                and self.ghost(e.name) * self.vertex(e.source) == self.ghost(e.name),
-                e.name,
-            )
+            a, b, s, r = edge[e.name], ghost[e.name], vertex[e.source], vertex[e.range]
+            note("source-range", s * a == a and a * r == a, e.name)
+            note("ghost-source-range", r * b == b and b * s == b, e.name)
             for f in g.edges:
-                expect = self.vertex(e.range) if f.name == e.name else self.zero()
-                note(
-                    "ghost-pairing",
-                    self.ghost(e.name) * self.edge(f.name) == expect,
-                    "%s %s" % (e.name, f.name),
-                )
-        for v in g.vertices:
-            if g.is_sink(v):
-                continue
-            total = self.zero()
-            for e in g.out_edges(v):
-                total = total + self.edge(e.name) * self.ghost(e.name)
-            note("vertex-expansion", total == self.vertex(v), v)
+                expect = r if f.name == e.name else zero
+                note("ghost-pairing", b * edge[f.name] == expect, "%s %s" % (e.name, f.name))
+        for v, es in g._out.items():
+            if es:
+                total = sum((edge[e.name] * ghost[e.name] for e in es), zero)
+                note("vertex-expansion", total == vertex[v], v)
         return RelationsReport(
             counts=tuple(sorted(counts.items())),
             failures=tuple(failures),
@@ -485,7 +469,8 @@ class Element:
     def local_unit(self) -> "Element":
         """The smallest vertex sum u with u x = x u = x; zero for x = 0."""
         needed = {v for m, _ in self._terms for v in (m.real.source, m.ghost.source)}
-        return self.algebra._vertex_sum(self.algebra.graph.sorted_vertices(needed))
+        index = self.algebra.graph._vindex
+        return self.algebra._vertex_sum(sorted(needed, key=index.__getitem__))
 
     # ------------------------------------------------------------------
     # arithmetic

@@ -26,7 +26,8 @@ check a vertex on every call. The in-edges and the path counts are
 computed once per graph, on first use, and kept on it.
 
 Graphs are checked likewise, once, where their parts enter: the Graph
-constructor checks every name (a non-empty unique string) and endpoint.
+constructor checks that each edge is a (name, source, range) triple, every
+name (a non-empty unique string) and endpoint.
 parse_graph checks a text with line numbers, quotient_graph restricts a
 checked graph to a hereditary saturated complement, and hedgehog_graph
 counts its distinct names; each then builds through the unchecked
@@ -109,7 +110,6 @@ class Graph:
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge] = ()):
         vertices = tuple(vertices)
-        edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
         if not vertices:
             raise GraphError("a graph needs at least one vertex")
         names: set[str] = set()
@@ -122,7 +122,15 @@ class Graph:
                 raise GraphError("duplicate name %r" % v)
             names.add(v)
         vset = frozenset(names)
+        checked = []
         for e in edges:
+            if not isinstance(e, Edge):
+                try:
+                    e = Edge(*e)
+                except TypeError:
+                    raise GraphError(
+                        "edge %r is not a (name, source, range) triple" % (e,)
+                    ) from None
             if not isinstance(e.name, str):
                 raise GraphError("edge name %r is not a string" % (e.name,))
             if not e.name:
@@ -130,11 +138,13 @@ class Graph:
             if e.name in names:
                 raise GraphError("duplicate name %r" % e.name)
             names.add(e.name)
-            if e.source not in vset:
+            # Only a string can be a vertex; the test comes before hashing.
+            if not isinstance(e.source, str) or e.source not in vset:
                 raise GraphError("edge %r has unknown source %r" % (e.name, e.source))
-            if e.range not in vset:
+            if not isinstance(e.range, str) or e.range not in vset:
                 raise GraphError("edge %r has unknown range %r" % (e.name, e.range))
-        self._build(vertices, edges)
+            checked.append(e)
+        self._build(vertices, tuple(checked))
 
     @classmethod
     def _built(cls, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> Graph:
@@ -714,6 +724,46 @@ def _reaching(graph: Graph, seeds: Iterable[str], seen: set[str]) -> set[str]:
     return seen
 
 
+def _components(graph: Graph, allowed: set[str]) -> dict[str, str]:
+    """The strongly connected components of the graph on the allowed
+    vertices: each vertex mapped to the root of its component, by Tarjan's
+    search with an explicit stack of out-edge iterators."""
+    out = graph._out
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    root: dict[str, str] = {}
+    stack: list[str] = []
+    for start in allowed:
+        if start in index:
+            continue
+        index[start] = low[start] = len(index)
+        stack.append(start)
+        work = [(start, iter(out[start]))]
+        while work:
+            v, edges = work[-1]
+            for e in edges:
+                w = e.range
+                if w in allowed and w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(out[w])))
+                    break
+                if w in allowed and w not in root:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        root[w] = v
+                        if w == v:
+                            break
+    return root
+
+
 def _first_cycle(graph: Graph, allowed: set[str]) -> Path | None:
     """The shortlex-first simple cycle on allowed vertices, rooted at its
     least-declared vertex. Empties ``allowed``.
@@ -722,16 +772,27 @@ def _first_cycle(graph: Graph, allowed: set[str]) -> Path | None:
     search scanning out-edges in declaration order reaches each vertex first
     along its shortlex-first shortest path. One search per anchor, over the
     allowed vertices declared after it, gives the anchor's first cycle; the
-    first anchor with the shortest one wins. So once a cycle is found, a
-    search stops at the depth where it could only tie with it, which keeps
-    the searches after the first cycle shallow.
+    first anchor with the shortest one wins. A cycle through the anchor,
+    and every path from the anchor back to it, stays inside the anchor's
+    strongly connected component on the allowed vertices, so the search
+    does too; an anchor with no in-edge from itself or from a vertex of its
+    component still allowed is skipped without one. Once a cycle is found,
+    a search stops at the depth where it could only tie with it, which
+    keeps the later searches shallow.
     """
-    out = graph._out
+    out, inn = graph._out, graph._in_map()
+    component = _components(graph, allowed)
     best = None
     for anchor in graph.vertices:
         if anchor not in allowed:
             continue
         allowed.discard(anchor)
+        mine = component[anchor]
+        if not any(
+            e.source == anchor or e.source in allowed and component[e.source] == mine
+            for e in inn[anchor]
+        ):
+            continue
         via: dict[str, Edge] = {}
         depth = {anchor: 0}
         queue = [anchor]
@@ -743,10 +804,11 @@ def _first_cycle(graph: Graph, allowed: set[str]) -> Path | None:
             if closing is not None:
                 break
             for e in out[at]:
-                if e.range in allowed and e.range not in via:
-                    via[e.range] = e
-                    depth[e.range] = depth[at] + 1
-                    queue.append(e.range)
+                r = e.range
+                if r in allowed and component[r] == mine and r not in via:
+                    via[r] = e
+                    depth[r] = depth[at] + 1
+                    queue.append(r)
         if closing is None:
             continue
         edges = [closing.name]

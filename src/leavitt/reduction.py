@@ -112,7 +112,7 @@ def realify(x: Element) -> tuple[Path, Element]:
         raise ZeroElementError("cannot realify zero")
     alg = x.algebra
     g = alg.graph
-    base = g.sorted_vertices(m.ghost.source for m, _ in x.items())[0]
+    base = min((m.ghost.source for m, _ in x.items()), key=g._vindex.__getitem__)
     y = x * alg.vertex(base)
     edges: list[str] = []
     at = base
@@ -126,29 +126,27 @@ def realify(x: Element) -> tuple[Path, Element]:
                 break
         else:
             raise AlgebraError("realification found no continuing edge")
-    return g.path(base, edges), y
+    return Path(base, tuple(edges), at), y
 
 
-def _common_closed_root(graph: Graph, paths: list[Path]) -> Path | None:
+def _common_closed_root(paths: list[Path]) -> Path | None:
     """The closed path with every given path a positive power of it.
 
-    The paths must come in shortlex order, as the real parts of a real
-    normal form do. The candidate is the length-gcd prefix of the first
-    path; if that is closed and every path is a repetition of it, it is the
-    root.
+    The paths must be nontrivial, in shortlex order, and closed at one
+    base vertex. reduce hands over the real parts of a real normal form
+    whose terms start at the base and share the range the right multipliers
+    left them at, the base itself, since one of the terms is the trivial
+    path there. The candidate is the length-gcd prefix of the first path.
+    Once every path is a repetition of it, the prefix is closed as well:
+    the first path is closed, and each copy of the prefix starts where the
+    one before it ends.
     """
-    g = 0
-    for p in paths:
-        g = gcd(g, len(p))
+    g = gcd(*map(len, paths))
     first = paths[0]
     prefix = first.edges[:g]
-    root = graph.path(first.source, prefix)
-    if root.range != root.source:
+    if any(p.edges != prefix * (len(p) // g) for p in paths):
         return None
-    for p in paths:
-        if p.edges != prefix * (len(p) // g):
-            return None
-    return root
+    return Path(first.source, prefix, first.source)
 
 
 def reduce(x: Element) -> ReductionWitness:
@@ -184,7 +182,7 @@ def reduce(x: Element) -> ReductionWitness:
             )
         # Cut to the first declared source: v y keeps the terms whose real
         # part starts at v.
-        v = g.sorted_vertices(m.real.source for m, _ in terms)[0]
+        v = min((m.real.source for m, _ in terms), key=g._vindex.__getitem__)
         cand = alg.vertex(v) * y
         if cand != y:
             left.append(Generator("vertex", v))
@@ -206,7 +204,7 @@ def reduce(x: Element) -> ReductionWitness:
             continue
         base = shortest.source
         closed = [p for p in paths if not p.is_trivial]
-        root = _common_closed_root(g, closed)
+        root = _common_closed_root(closed)
         if root is None:
             # Conjugate by the first edge of the canonically first closed
             # path: aligned paths rotate, the rest die. Misalignment must
@@ -221,7 +219,7 @@ def reduce(x: Element) -> ReductionWitness:
             # No exit anywhere on the root: it is a power of the cycle that
             # first returns to the base vertex, and y is a polynomial in it
             # whose terms come shortest first, so exponents ascend.
-            cmin = g.path(base, root.edges[: g.path_vertices(root).index(base, 1)])
+            cmin = Path(base, root.edges[: g.path_vertices(root).index(base, 1)], base)
             coeffs = tuple((len(m.real) // len(cmin), c) for m, c in y.items())
             return ReductionWitness(
                 tuple(left), tuple(right), CyclePolynomial(base, cmin, coeffs)

@@ -5,12 +5,12 @@ their hereditary saturated closure H. For a finite graph H is also the
 closure of the sinks: every sink is a line point, and the tree of a line
 point is a walk through out-degree-one vertices that ends at a sink, which
 saturation follows back. Both give the vertices that reach no cycle, so the
-socle is the whole algebra exactly when the graph is acyclic. Everything
-here reduces questions about that ideal to graph combinatorics plus exact
-normal-form arithmetic: membership goes through the quotient map that kills
-H, the matricial shape of the socle is read off from paths into sinks, and
-for acyclic graphs an explicit block-matrix representation doubles as a
-faithfulness oracle for the whole algebra.
+socle is the whole algebra exactly when the graph is acyclic, which its kept
+path counts tell. The rest reduces questions about that ideal to graph
+combinatorics plus exact normal-form arithmetic: membership in a cyclic
+graph's socle is a quotient image under the map that kills H, the matricial
+shape is read off from paths into sinks, and on acyclic graphs a
+block-matrix representation doubles as a faithfulness oracle.
 """
 
 from __future__ import annotations
@@ -89,13 +89,12 @@ def quotient_image(
 def in_socle(x: Element) -> bool:
     """Whether the element lies in the socle.
 
-    The socle is the kernel of the quotient map by H, so membership is one
-    image computation; when H is everything the quotient algebra is zero
-    and every element belongs.
+    On an acyclic graph, as the path counts it keeps tell, the socle is
+    everything. Otherwise it is the kernel of the quotient map by H, so
+    membership is one image computation.
     """
     graph = x.algebra.graph
-    h = socle_generators(graph)
-    return len(h) == len(graph.vertices) or quotient_image(x, h).is_zero
+    return is_acyclic(graph) or quotient_image(x, socle_generators(graph)).is_zero
 
 
 def left_ideal_sum_membership(x: Element, vertices: Iterable[str]) -> bool:
@@ -157,7 +156,7 @@ def socle_structure(graph: Graph, depth_bound: int | None = None) -> SocleReport
         closure_h=hedgehog.ideal_part if h else (),
         summands=summands,
         hedgehog=hedgehog,
-        socle_is_whole=len(h) == len(graph.vertices),
+        socle_is_whole=is_acyclic(graph),
     )
 
 

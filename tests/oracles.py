@@ -3,12 +3,13 @@
 Each function follows the definition it implements as directly as it can:
 trees are recomputed per vertex, cycles are enumerated one by one or
 searched for to full depth from every anchor, the closure is iterated to a
-fixpoint, taken of the line points for the socle's generators and once
-per vertex for simplicity, paths are listed from every vertex,
-normalization scans its live redexes on every step, sums merge their terms
-in a dict and sort them again, reduction multiplies by every vertex to
-find where an element starts, and membership in a sum of left ideals
-multiplies by the vertex sum.
+fixpoint, taken of the line points for the socle's generators and once per
+vertex for simplicity, paths are listed from every vertex, normalization
+scans its live redexes on every step, sums merge their terms in a dict and
+sort them again, the defining relations are checked with every generator
+built afresh at each use, reduction multiplies by every vertex to find
+where an element starts, and membership in a sum of left ideals multiplies
+by the vertex sum.
 They are exponential or polynomial of high degree, so tests run them on
 small inputs only.
 """
@@ -22,6 +23,7 @@ from leavitt.algebra import (
     Element,
     LeavittAlgebra,
     Monomial,
+    RelationsReport,
     ZeroElementError,
 )
 from leavitt.graphs import (
@@ -410,6 +412,61 @@ def add(x: Element, y: Element) -> Element:
     return Element(x.algebra, ordered)
 
 
+def check_relations(algebra: LeavittAlgebra) -> RelationsReport:
+    """The defining relations rechecked as they are written, each vertex,
+    edge and ghost element built afresh at every use."""
+    counts: dict[str, int] = {}
+    failures: list[str] = []
+
+    def note(label: str, ok: bool, detail: str) -> None:
+        counts[label] = counts.get(label, 0) + 1
+        if not ok:
+            failures.append("%s: %s" % (label, detail))
+
+    a = algebra
+    g = a.graph
+    for v in g.vertices:
+        for w in g.vertices:
+            expect = a.vertex(v) if v == w else a.zero()
+            note(
+                "vertex-idempotents",
+                a.vertex(v) * a.vertex(w) == expect,
+                "%s %s" % (v, w),
+            )
+    for e in g.edges:
+        note(
+            "source-range",
+            a.vertex(e.source) * a.edge(e.name) == a.edge(e.name)
+            and a.edge(e.name) * a.vertex(e.range) == a.edge(e.name),
+            e.name,
+        )
+        note(
+            "ghost-source-range",
+            a.vertex(e.range) * a.ghost(e.name) == a.ghost(e.name)
+            and a.ghost(e.name) * a.vertex(e.source) == a.ghost(e.name),
+            e.name,
+        )
+        for f in g.edges:
+            expect = a.vertex(e.range) if f.name == e.name else a.zero()
+            note(
+                "ghost-pairing",
+                a.ghost(e.name) * a.edge(f.name) == expect,
+                "%s %s" % (e.name, f.name),
+            )
+    for v in g.vertices:
+        if g.is_sink(v):
+            continue
+        total = a.zero()
+        for e in g.out_edges(v):
+            total = total + a.edge(e.name) * a.ghost(e.name)
+        note("vertex-expansion", total == a.vertex(v), v)
+    return RelationsReport(
+        counts=tuple(sorted(counts.items())),
+        failures=tuple(failures),
+        passed=not failures,
+    )
+
+
 def left_ideal_sum_membership(x: Element, vertices: Iterable[str]) -> bool:
     """Whether x lies in the sum of the left ideals A·u over the given u.
 
@@ -515,7 +572,7 @@ def reduce(x: Element) -> ReductionWitness:
             continue
         base = shortest.source
         closed = [p for p in paths if not p.is_trivial]
-        root = _common_closed_root(g, closed)
+        root = _common_closed_root(closed)
         if root is None:
             # Conjugate by the first edge of the canonically first closed
             # path: aligned paths rotate, the rest die. Misalignment must

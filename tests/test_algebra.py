@@ -77,6 +77,27 @@ def test_relations_reports(algebras):
     assert counts["vertex-expansion"] == 1
 
 
+def test_relations_match_the_per_use_oracle(graphs):
+    """check_relations builds each generator once, the oracle at every use:
+    the same counts and the same failure lines, in the same order, on
+    random graphs over Q and GF(5), and on algebras whose relation (4)
+    drops its last piece, so that vertex expansions fail."""
+
+    class Dropping(LeavittAlgebra):
+        def _rewrite(self, m):
+            return super()._rewrite(m)[:-1]
+
+    rng = random.Random(22)
+    for field in (QQ, PrimeField(5)):
+        for _ in range(40):
+            graph = random_graph(rng, 5, 8)
+            for algebra in (LeavittAlgebra(graph, field), Dropping(graph, field)):
+                assert algebra.check_relations() == oracles.check_relations(algebra)
+    broken = Dropping(graphs["W"]).check_relations()
+    assert broken.failures == ("vertex-expansion: z",) and not broken.passed
+    assert broken.counts == LeavittAlgebra(graphs["W"]).check_relations().counts
+
+
 def test_relations_over_prime_field(graphs):
     for p in (2, 3, 7):
         algebra = LeavittAlgebra(graphs["W"], PrimeField(p))

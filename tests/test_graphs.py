@@ -118,7 +118,7 @@ def test_constructor_messages_and_first_fault(graphs):
     range), a name's type before anything else about it; parse_graph
     checks each line as read, then the endpoints."""
     cases = {
-        # Graph's eight faults.
+        # Graph's ten faults.
         "a graph needs at least one vertex": lambda: Graph([]),
         "vertex name 0 is not a string": lambda: Graph([0]),
         "edge name 1 is not a string": lambda: Graph(["a"], [Edge(1, "a", "a")]),
@@ -127,6 +127,9 @@ def test_constructor_messages_and_first_fault(graphs):
         "empty edge name": lambda: Graph(["a"], [Edge("", "a", "a")]),
         "edge 'e' has unknown source 'zz'": lambda: Graph(["a"], [Edge("e", "zz", "a")]),
         "edge 'e' has unknown range 'b'": lambda: Graph(["a"], [("e", "a", "b")]),
+        "edge ('e', 'a') is not a (name, source, range) triple":
+            lambda: Graph(["a"], [("e", "a")]),
+        "edge 'e' has unknown source ['a']": lambda: Graph(["a"], [Edge("e", ["a"], "a")]),
     }
     for message, build in cases.items():
         assert _message(build) == message
@@ -149,6 +152,11 @@ def test_constructor_messages_and_first_fault(graphs):
          "edge 'e' has unknown source 'zz'"),
         (lambda: Graph(["a"], [Edge(None, "zz", "a")]), "edge name None is not a string"),
         (lambda: Graph(["a", "b"], [Edge("e", "a", 0)]), "edge 'e' has unknown range 0"),
+        (lambda: Graph(["a"], [Edge("e", "a", {"a"})]), "edge 'e' has unknown range {'a'}"),
+        (lambda: Graph(["a", "a"], [("e",)]), "duplicate name 'a'"),
+        (lambda: Graph(["a"], [Edge("e", "zz", "a"), ("f", "a")]),
+         "edge 'e' has unknown source 'zz'"),
+        (lambda: Graph(["a"], [5]), "edge 5 is not a (name, source, range) triple"),
         # Once a bare TypeError from the spine name's join.
         (lambda: hedgehog_graph(Graph(["a", "b"], [Edge(1, "a", "b")]), {"b"}),
          "edge name 1 is not a string"),

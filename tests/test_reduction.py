@@ -382,6 +382,30 @@ def test_reduction_matches_the_scanning_oracle():
     assert cuts >= 100 and cycles >= 30
 
 
+def test_reduction_trusts_the_paths_it_builds(monkeypatch):
+    """realify, reduce and the local unit read their vertices off the
+    element's own terms and build their paths edge by edge, so they neither
+    check a vertex set against the graph nor walk a path through it."""
+    rng = random.Random(103)
+    families = (random_graph, _exitless_cycle_with_feeders, _shuffled_line)
+    elements = [
+        random_nonzero_element(rng, LeavittAlgebra(families[i % 3](rng)), max_length=4)
+        for i in range(150)
+    ]
+
+    def refused(*args):
+        raise AssertionError("a vertex set checked or a path walked")
+
+    monkeypatch.setattr(Graph, "path", refused)
+    monkeypatch.setattr(Graph, "sorted_vertices", refused)
+    outcomes = set()
+    for x in elements:
+        realify(x)
+        outcomes.add(type(reduce(x).outcome))
+        nondegeneracy_witness(x)
+    assert outcomes == {ScalarVertex, CyclePolynomial}
+
+
 def test_certificates_cost_the_same_at_any_graph_size(monkeypatch):
     calls = []
     vertex, one = LeavittAlgebra.vertex, LeavittAlgebra.one

@@ -4,7 +4,8 @@ Work is counted as executed bytecode instructions, which do not depend on
 the machine or its load. Each operation is measured at sizes n, 2n, 4n and
 8n, and the ratio of counts per doubling is gated: graph-level queries are
 linear in V+E, and one element operation costs the same at any graph size.
-Bytecode counts do not see work done in C, such as set copies or sorting.
+Bytecode counts do not see work done in C, such as set copies or sorting, so
+the calls that do such work on a whole vertex set are counted by name.
 """
 
 import sys
@@ -12,6 +13,7 @@ from functools import partial
 
 import pytest
 
+import leavitt.graphs
 from leavitt import (
     Edge,
     Graph,
@@ -30,6 +32,7 @@ from leavitt import (
     socle_structure,
     verify_witness,
 )
+from leavitt.sampling import line_graph
 
 SIZES = (50, 100, 200, 400)
 
@@ -52,6 +55,29 @@ def opcodes(fn) -> int:
         fn()
     finally:
         sys.settrace(previous)
+    return count
+
+
+def calls(name: str, fn) -> int:
+    """The number of calls of the leavitt.graphs function of that name made
+    by calling fn, counted in every loaded module that binds the name to it,
+    and restored there afterwards."""
+    original = getattr(leavitt.graphs, name)
+    count = 0
+
+    def counting(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return original(*args, **kwargs)
+
+    bound = [m for m in list(sys.modules.values()) if vars(m).get(name) is original]
+    for module in bound:
+        setattr(module, name, counting)
+    try:
+        fn()
+    finally:
+        for module in bound:
+            setattr(module, name, original)
     return count
 
 
@@ -85,6 +111,33 @@ def ladder(n: int) -> Graph:
     return Graph(vertices, edges)
 
 
+def ring_with_exit(n: int) -> Graph:
+    """A ring v0 -> ... -> v(n-1) -> v0 with an exit x: v0 -> s to a sink."""
+    vertices = ["v%d" % i for i in range(n)] + ["s"]
+    edges = [Edge("e%d" % i, "v%d" % i, "v%d" % ((i + 1) % n)) for i in range(n)]
+    return Graph(vertices, edges + [Edge("x", "v0", "s")])
+
+
+def _between_loops(n: int, feeds: list[Edge]) -> Graph:
+    """A chain v0 -> ... -> v(n-1), declared first, into a looped d with an
+    edge to the sink s, fed by a looped c through the given edges."""
+    vertices = ["v%d" % i for i in range(n)] + ["c", "d", "s"]
+    edges = [Edge("lc", "c", "c")] + feeds
+    edges += [Edge("e%d" % i, "v%d" % i, "v%d" % (i + 1)) for i in range(n - 1)]
+    edges += [Edge("z", "v%d" % (n - 1), "d"), Edge("ld", "d", "d"), Edge("x", "d", "s")]
+    return Graph(vertices, edges)
+
+
+def chain_between_loops(n: int) -> Graph:
+    """c feeds the chain at v0 only."""
+    return _between_loops(n, [Edge("y", "c", "v0")])
+
+
+def hub(n: int) -> Graph:
+    """c feeds every vertex of the chain."""
+    return _between_loops(n, [Edge("h%d" % i, "c", "v%d" % i) for i in range(n)])
+
+
 # Each entry takes a graph and returns the query on it with its arguments.
 GRAPH_QUERIES = {
     "line_points": lambda g: partial(line_points, g),
@@ -100,7 +153,13 @@ GRAPH_QUERIES = {
 }
 
 
-@pytest.mark.parametrize("family", [fed_line, ladder], ids=lambda f: f.__name__)
+# The last three hold long stretches on no cycle, or on one long cycle,
+# that the hedgehog's search for a blocking cycle must not search again
+# from every vertex.
+FAMILIES = [fed_line, ladder, ring_with_exit, chain_between_loops, hub]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("name", list(GRAPH_QUERIES))
 def test_graph_queries_are_linear(family, name):
     """Each query runs on a fresh graph. The graph and the query's other
@@ -138,6 +197,31 @@ def test_element_operations_do_not_depend_on_graph_size(name):
         z = parse_element(algebra, "l^* + 2 y y^*")
         w = reduce(x)
         counts.append(opcodes(lambda: ELEMENT_OPERATIONS[name](x, z, w)))
+    assert max(_ratios(counts)) <= 1.05, counts
+
+
+@pytest.mark.parametrize("name", [n for n in ELEMENT_OPERATIONS if n != "in_socle"])
+def test_element_operations_check_no_vertex_sets(name):
+    """Checking a vertex set against the graph is C-level work linear in the
+    set, which the opcode count does not see; these operations, on the same
+    elements at the largest size, make none."""
+    algebra = LeavittAlgebra(fed_line(SIZES[-1]))
+    x = parse_element(algebra, "l y + c")
+    z = parse_element(algebra, "l^* + 2 y y^*")
+    w = reduce(x)
+    assert calls("_vertex_set", lambda: ELEMENT_OPERATIONS[name](x, z, w)) == 0
+
+
+def test_in_socle_on_an_acyclic_graph_reads_the_kept_counts():
+    """Once the graph keeps its path counts, which the first call fills,
+    in_socle on an acyclic graph neither computes H nor depends on the
+    graph's size."""
+    counts = []
+    for n in SIZES:
+        x = parse_element(LeavittAlgebra(line_graph(n)), "e1 e2 e2^* + 2 v1")
+        assert in_socle(x)
+        assert calls("hereditary_saturated_closure", lambda: in_socle(x)) == 0
+        counts.append(opcodes(lambda: in_socle(x)))
     assert max(_ratios(counts)) <= 1.05, counts
 
 
