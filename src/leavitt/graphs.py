@@ -16,14 +16,16 @@ hereditary set by its entry paths. Each whole-graph notion is one sweep, or
 a few, over the vertices and edges; no routine enumerates cycles or
 recomputes a tree per vertex.
 
-The sweeps (tree, the out-degree-one walks behind line points, minimal
-vertex ideals and Condition (L), the path counts, hereditary and saturated
-checks and closure, the backward and cycle searches, entry_paths,
-hedgehog_graph) check their vertex arguments once, at entry, and then read
-the graph's adjacency maps: out-edges from ``Graph._out`` and in-edges from
-``Graph._in_map()``, both in declaration order. Only the public lookups
-check a vertex on every call. The in-edges and the path counts are
-computed once per graph, on first use, and kept on it.
+Every question about where the cycles sit (acyclicity, the path counts, H,
+the line points and minimal vertex ideals, Condition (L), the root that
+decides simplicity, the components the blocking-cycle search stays in)
+reads one search, run on the first such query and kept on the graph. The
+other sweeps (tree, hereditary and saturated checks and closure, the
+backward and blocking-cycle searches, entry_paths, hedgehog_graph) check
+their vertex arguments once, at entry, and then read the graph's adjacency
+maps: out-edges from ``Graph._out`` and in-edges from ``Graph._in_map()``,
+built on first use and kept, both in declaration order. Only the public
+lookups check a vertex on every call.
 
 Graphs are checked likewise, once, where their parts enter: the Graph
 constructor checks that each edge is a (name, source, range) triple, every
@@ -103,13 +105,22 @@ class Path(NamedTuple):
         return not self.edges
 
 
+def _iterate(items: Iterable, what: str) -> Iterator:
+    """iter(items), or a GraphError when they are not iterable; an error
+    raised while they are iterated is not caught."""
+    try:
+        return iter(items)
+    except TypeError:
+        raise GraphError("%s %r are not iterable" % (what, items)) from None
+
+
 class Graph:
     """An immutable finite directed graph with named vertices and edges."""
 
-    __slots__ = ("vertices", "edges", "_vindex", "_eindex", "_out", "_in", "_hash", "_counts")
+    __slots__ = ("vertices", "edges", "_vindex", "_eindex", "_out", "_in", "_hash", "_cycles")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge] = ()):
-        vertices = tuple(vertices)
+        vertices = tuple(_iterate(vertices, "vertices"))
         if not vertices:
             raise GraphError("a graph needs at least one vertex")
         names: set[str] = set()
@@ -123,7 +134,7 @@ class Graph:
             names.add(v)
         vset = frozenset(names)
         checked = []
-        for e in edges:
+        for e in _iterate(edges, "edges"):
             if not isinstance(e, Edge):
                 try:
                     e = Edge(*e)
@@ -166,7 +177,7 @@ class Graph:
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in: dict[str, tuple[Edge, ...]] | None = None
         self._hash: int | None = None
-        self._counts: dict[str, int | None] | None = None
+        self._cycles: _Cycles | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -219,7 +230,7 @@ class Graph:
     def _in_map(self) -> dict[str, tuple[Edge, ...]]:
         """The in-edges of every vertex, keyed in declaration order; built
         on first use, like the hash, since the algebra, the reduction and
-        the out-degree-one walk never follow edges backwards."""
+        the search of the cycles never follow edges backwards."""
         if self._in is None:
             inn: dict[str, list[Edge]] = {v: [] for v in self.vertices}
             for e in self.edges:
@@ -399,77 +410,118 @@ def is_bifurcation(graph: Graph, vertex: str) -> bool:
     return graph.out_degree(vertex) >= 2
 
 
-def _path_counts(graph: Graph) -> dict[str, int | None]:
-    """The number of paths ending at each vertex, the trivial one included,
-    and None exactly where a cycle reaches the vertex.
+class _Cycles(NamedTuple):
+    """Where the graph's cycles sit, as _cycles finds it."""
 
-    Kahn's sweep settles a vertex once all its in-neighbours are settled;
-    the vertices it never settles are those that some cycle reaches. The
-    graph keeps the counts, as it keeps its in-edges, so the sweep runs
-    once per graph; callers only read them.
+    component: dict[str, str]  # each vertex to the root of its component
+    counts: dict[str, int | None]
+    h: frozenset[str]
+    line: frozenset[str]
+    root: str
+    condition_L: bool
+
+
+def _cycles(graph: Graph) -> _Cycles:
+    """The one search for the graph's cycles, run by the first query that
+    needs it and kept on the graph for every later one.
+
+    Tarjan's search over the out-edges, from each vertex in declaration
+    order, maps each vertex to the root of its strongly connected component
+    and lists the vertices in the order it completes their components, each
+    one contiguous with its root last. So an edge that leaves a component
+    enters one completed earlier, and a vertex is on a cycle exactly when an
+    out-edge stays in its component. In that order, a vertex joins H (the
+    vertices that reach no cycle) when all its out-edges enter H, and is a
+    line point when it is a sink or its one out-edge enters a line point;
+    Condition (L) holds when every cyclic component has a vertex whose
+    out-edges are not exactly one edge inside it. In reverse order, a vertex
+    on a cycle gets the path count None, and each final count is pushed
+    along out-edges. The first vertex completed lies in a component that no
+    edge leaves.
     """
-    if graph._counts is None:
-        out, inn = graph._out, graph._in_map()
-        waiting = {v: len(es) for v, es in inn.items()}
-        counts: dict[str, int | None] = dict.fromkeys(graph.vertices)
-        ready = [v for v in graph.vertices if not waiting[v]]
-        for v in ready:
-            counts[v] = 1 + sum(counts[e.source] for e in inn[v])
-            for e in out[v]:
-                waiting[e.range] -= 1
-                if not waiting[e.range]:
-                    ready.append(e.range)
-        graph._counts = counts
-    return graph._counts
+    if graph._cycles is not None:
+        return graph._cycles
+    out = graph._out
+    # Positions on the stack stand in for discovery indices: below a vertex
+    # still on it, the stack keeps its vertices in discovery order.
+    low: dict[str, int] = {}
+    component: dict[str, str] = {}
+    order: list[str] = []
+    stack: list[str] = []
+    for start in graph.vertices:
+        if start in low:
+            continue
+        low[start] = len(stack)
+        work = [(start, iter(out[start]), len(stack))]
+        stack.append(start)
+        while work:
+            v, edges, at = work[-1]
+            for e in edges:
+                w = e.range
+                if w not in low:
+                    low[w] = len(stack)
+                    work.append((w, iter(out[w]), len(stack)))
+                    stack.append(w)
+                    break
+                if w not in component:
+                    low[v] = min(low[v], low[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == at:
+                    component.update(dict.fromkeys(stack[at:], v))
+                    order += reversed(stack[at:])
+                    del stack[at:]
+
+    h: set[str] = set()
+    line: set[str] = set()
+    condition_l = exitless = True
+    for v in order:
+        es = out[v]
+        if all(e.range in h for e in es):
+            h.add(v)
+        if not es or len(es) == 1 and es[0].range in line:
+            line.add(v)
+        exitless = exitless and len(es) == 1 and component[es[0].range] == component[v]
+        if v == component[v]:
+            condition_l, exitless = condition_l and not exitless, True
+
+    counts: dict[str, int | None] = dict.fromkeys(graph.vertices, 1)
+    for v in reversed(order):
+        if any(component[e.range] == component[v] for e in out[v]):
+            counts[v] = None
+        for e in out[v]:
+            if counts[e.range] is not None:
+                counts[e.range] = None if counts[v] is None else counts[e.range] + counts[v]
+
+    graph._cycles = _Cycles(
+        component, counts, frozenset(h), frozenset(line), order[0], condition_l
+    )
+    return graph._cycles
+
+
+def _path_counts(graph: Graph) -> dict[str, int | None]:
+    """Paths ending at each vertex, the trivial one included; None where a cycle reaches it."""
+    return _cycles(graph).counts
 
 
 def is_acyclic(graph: Graph) -> bool:
-    """Whether the graph has no closed path: no vertex is reached by a cycle."""
-    return None not in _path_counts(graph).values()
-
-
-def _walk_end(graph: Graph, start: str, ends: dict[str, str | None]) -> str | None:
-    """Where the walk from the start through out-degree-one vertices stops:
-    at a sink or a bifurcation, or None when it closes a cycle, which then
-    has no exit. Each vertex passed is settled in ``ends`` with that end; a
-    walk meeting a settled vertex takes its end, so each is passed once."""
-    out = graph._out
-    trail, at = [], start
-    while at not in ends and len(out[at]) == 1:
-        ends[at] = ""  # on this trail: no vertex name is empty
-        trail.append(at)
-        at = out[at][0].range
-    # An unmet vertex is a sink or a bifurcation, its own end; one met on
-    # this trail closes the walk; a settled one hands on its end.
-    end = ends[at] = ends.get(at, at) or None
-    for v in trail:
-        ends[v] = end
-    return end
+    """Whether the graph has no closed path: every vertex is in H."""
+    return len(_cycles(graph).h) == len(graph.vertices)
 
 
 def line_points(graph: Graph) -> tuple[str, ...]:
-    """Vertices whose tree contains no bifurcation and meets no cycle.
-
-    A vertex's tree is a line exactly when its walk through vertices of
-    out-degree one stops at a sink, so the walks from every vertex, each
-    vertex passed once, find them all. Returned in declaration order.
-    """
-    out, ends = graph._out, {}
-    return tuple(
-        v for v in graph.vertices
-        if (end := _walk_end(graph, v, ends)) is not None and not out[end]
-    )
+    """Vertices whose tree has no bifurcation and meets no cycle, in order."""
+    line = _cycles(graph).line
+    return tuple(v for v in graph.vertices if v in line)
 
 
 def vertex_ideal_minimal(graph: Graph, vertex: str) -> bool:
     """Whether the left ideal the vertex generates is minimal: the vertex
-    must be a line point (its tree has no bifurcation and meets no cycle).
-
-    Its tree is a line exactly when its walk through vertices of out-degree
-    one stops at a sink, so that one walk decides it.
-    """
-    end = _walk_end(graph, graph.require_vertex(vertex), {})
-    return end is not None and not graph._out[end]
+    must be a line point (its tree has no bifurcation and meets no cycle)."""
+    return graph.require_vertex(vertex) in _cycles(graph).line
 
 
 # ----------------------------------------------------------------------
@@ -579,12 +631,11 @@ def cycle_has_exit(graph: Graph, cycle: Path) -> bool:
 def condition_L(graph: Graph) -> bool:
     """Every simple cycle has an exit.
 
-    A cycle without an exit is a walk through vertices of out-degree one
-    that closes, so the walks from those vertices decide it.
+    A cycle without an exit is closed under out-edges, so it is a whole
+    strongly connected component in which each vertex has one out-edge;
+    the graph's kept search of its cycles tells whether there is one.
     """
-    ends: dict[str, str | None] = {}
-    ones = (v for v, es in graph._out.items() if len(es) == 1)
-    return all(_walk_end(graph, v, ends) is not None for v in ones if v not in ends)
+    return _cycles(graph).condition_L
 
 
 def is_simple(graph: Graph) -> bool:
@@ -593,25 +644,13 @@ def is_simple(graph: Graph) -> bool:
 
     Every nonempty hereditary set holds a strongly connected component that
     no edge leaves, and the closure of a vertex of one such component meets
-    no other; so the sets are trivial exactly when that closure is
-    everything. Two sinks fail; one sink is the vertex; without sinks it is
-    the last start of backward searches from each unseen vertex, as all it
-    reaches is seen by its own search and so reaches it back.
+    no other; so the sets are trivial exactly when the closure of the first
+    vertex the search of the cycles completes, which lies in one, is all.
     """
-    if not condition_L(graph):
-        return False
-    sinks = graph.sinks()
-    if len(sinks) > 1:
-        return False
-    if sinks:
-        root = sinks[0]
-    else:
-        seen: set[str] = set()
-        for v in graph.vertices:
-            if v not in seen:
-                root = v
-                _reaching(graph, (v,), seen)
-    return hereditary_saturated_closure(graph, (root,)) == frozenset(graph.vertices)
+    cycles = _cycles(graph)
+    return cycles.condition_L and hereditary_saturated_closure(
+        graph, (cycles.root,)
+    ) == frozenset(graph.vertices)
 
 
 # ----------------------------------------------------------------------
@@ -711,57 +750,17 @@ def entry_paths(graph: Graph, subset: Iterable[str], max_length: int) -> list[Pa
     return found
 
 
-def _reaching(graph: Graph, seeds: Iterable[str], seen: set[str]) -> set[str]:
-    """One backward search: add to ``seen`` the seeds and every vertex that
-    reaches one of them through unseen vertices, and return it."""
+def _reaching(graph: Graph, seeds: Iterable[str]) -> set[str]:
+    """The seeds and every vertex that reaches one of them, by one backward
+    search."""
     inn = graph._in_map()
-    queue = [v for v in seeds if v not in seen]
-    seen.update(queue)
+    seen = set(seeds)
+    queue = list(seen)
     for v in queue:
         fresh = {e.source for e in inn[v]} - seen
         seen |= fresh
         queue.extend(fresh)
     return seen
-
-
-def _components(graph: Graph, allowed: set[str]) -> dict[str, str]:
-    """The strongly connected components of the graph on the allowed
-    vertices: each vertex mapped to the root of its component, by Tarjan's
-    search with an explicit stack of out-edge iterators."""
-    out = graph._out
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    root: dict[str, str] = {}
-    stack: list[str] = []
-    for start in allowed:
-        if start in index:
-            continue
-        index[start] = low[start] = len(index)
-        stack.append(start)
-        work = [(start, iter(out[start]))]
-        while work:
-            v, edges = work[-1]
-            for e in edges:
-                w = e.range
-                if w in allowed and w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    work.append((w, iter(out[w])))
-                    break
-                if w in allowed and w not in root:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        root[w] = v
-                        if w == v:
-                            break
-    return root
 
 
 def _first_cycle(graph: Graph, allowed: set[str]) -> Path | None:
@@ -774,14 +773,14 @@ def _first_cycle(graph: Graph, allowed: set[str]) -> Path | None:
     allowed vertices declared after it, gives the anchor's first cycle; the
     first anchor with the shortest one wins. A cycle through the anchor,
     and every path from the anchor back to it, stays inside the anchor's
-    strongly connected component on the allowed vertices, so the search
-    does too; an anchor with no in-edge from itself or from a vertex of its
-    component still allowed is skipped without one. Once a cycle is found,
-    a search stops at the depth where it could only tie with it, which
-    keeps the later searches shallow.
+    strongly connected component (kept by _cycles), so the search does too;
+    an anchor with no in-edge from itself or from a vertex of its component
+    still allowed is skipped without one. Once a cycle is found, a search
+    stops at the depth where it could only tie with it, which keeps the
+    later searches shallow.
     """
     out, inn = graph._out, graph._in_map()
-    component = _components(graph, allowed)
+    component = _cycles(graph).component
     best = None
     for anchor in graph.vertices:
         if anchor not in allowed:
@@ -847,7 +846,7 @@ def hedgehog_graph(
 
     counts = _path_counts(graph)
     blocking = _first_cycle(
-        graph, {v for v in _reaching(graph, h, set()) - h if counts[v] is None}
+        graph, {v for v in _reaching(graph, h) - h if counts[v] is None}
     )
     spines = entry_paths(graph, h, depth_bound)
     complete = blocking is None and len(spines) == sum(

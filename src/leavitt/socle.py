@@ -2,15 +2,14 @@
 
 The socle is the two-sided ideal generated by the line points, and so by
 their hereditary saturated closure H. For a finite graph H is also the
-closure of the sinks: every sink is a line point, and the tree of a line
-point is a walk through out-degree-one vertices that ends at a sink, which
-saturation follows back. Both give the vertices that reach no cycle, so the
-socle is the whole algebra exactly when the graph is acyclic, which its kept
-path counts tell. The rest reduces questions about that ideal to graph
-combinatorics plus exact normal-form arithmetic: membership in a cyclic
-graph's socle is a quotient image under the map that kills H, the matricial
-shape is read off from paths into sinks, and on acyclic graphs a
-block-matrix representation doubles as a faithfulness oracle.
+closure of the sinks, and both are the vertices that reach no cycle, which
+the graph keeps from its one search of its cycles, so the socle is the
+whole algebra exactly when the graph is acyclic. The rest reduces
+questions about that ideal to graph combinatorics plus exact normal-form
+arithmetic: membership in a cyclic graph's socle is a quotient image under
+the map that kills H, the matricial shape is read off from paths into
+sinks, and on acyclic graphs a block-matrix representation doubles as a
+faithfulness oracle.
 """
 
 from __future__ import annotations
@@ -27,10 +26,10 @@ from .graphs import (
     SubsetError,
     entry_paths,
     hedgehog_graph,
-    hereditary_saturated_closure,
     is_acyclic,
     line_points,
     quotient_graph,
+    _cycles,
     _depth_bound,
     _path_counts,
     _vertex_set,
@@ -42,11 +41,12 @@ from .graphs import (
 # ----------------------------------------------------------------------
 
 def socle_generators(graph: Graph) -> frozenset[str]:
-    """H, the closure of the line points, taken as the closure of the sinks.
+    """H, the closure of the line points: the vertices that reach no cycle,
+    which the graph's kept search of its cycles holds.
 
     The socle is the two-sided ideal generated by these vertices.
     """
-    return hereditary_saturated_closure(graph, graph.sinks())
+    return _cycles(graph).h
 
 
 def socle_is_nonzero(graph: Graph) -> bool:
@@ -89,7 +89,7 @@ def quotient_image(
 def in_socle(x: Element) -> bool:
     """Whether the element lies in the socle.
 
-    On an acyclic graph, as the path counts it keeps tell, the socle is
+    On an acyclic graph, as its kept search of its cycles tells, the socle is
     everything. Otherwise it is the kernel of the quotient map by H, so
     membership is one image computation.
     """

@@ -164,6 +164,30 @@ def test_reduce_json(capsys, write_graph):
     }
 
 
+def test_reduce_to_a_cycle_polynomial(capsys, write_graph):
+    """On T the loop f has no exit, so f + 2 f f reduces to a polynomial in
+    the loop at v; its JSON witness replays."""
+    path = write_graph("T")
+    rc, out, _ = run(capsys, "reduce", path, "--expr", "f + 2 f f")
+    assert rc == 0
+    assert out == (
+        "left: f^*\n"
+        "right:\n"
+        "outcome kind: cycle-polynomial\n"
+        "outcome: 1*v + 2*f\n"
+        "verified: true\n"
+    )
+    rc, out, _ = run(capsys, "reduce", path, "--expr", "f + 2 f f", "--format", "json")
+    assert rc == 0
+    obj = json.loads(out)
+    with open(path, encoding="utf-8") as handle:
+        algebra = leavitt.LeavittAlgebra(leavitt.parse_graph(handle.read()))
+    x = leavitt.parse_element(algebra, "f + 2 f f")
+    witness = leavitt.witness_from_obj(algebra, obj["witness"])
+    assert obj["verified"] and leavitt.verify_witness(x, witness)
+    assert obj["witness"]["outcome"]["kind"] == "cycle-polynomial"
+
+
 def test_nondegen(capsys, write_graph):
     rc, out, _ = run(capsys, "nondegen", write_graph("W"), "--expr", "e")
     assert rc == 0
@@ -278,6 +302,11 @@ def test_depth_must_be_nonnegative(capsys, tmp_path):
         assert (rc, out) == (2, "") and "--depth" in err
     rc, out, _ = run(capsys, "structure", str(path), "--depth", "0")
     assert rc == 0 and "hedgehog complete: false" in out.splitlines()
+    rc, out, err = run(capsys, "structure", str(path), "--depth", "abc")
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "leavitt structure: error: argument --depth: invalid int value: 'abc'"
+    )
     # socle prints nothing that depends on the hedgehog, so it takes no depth.
     rc, out, err = run(capsys, "socle", str(path), "--depth", "2")
     assert (rc, out) == (2, "") and "--depth" in err

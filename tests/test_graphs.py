@@ -118,7 +118,9 @@ def test_constructor_messages_and_first_fault(graphs):
     range), a name's type before anything else about it; parse_graph
     checks each line as read, then the endpoints."""
     cases = {
-        # Graph's ten faults.
+        # Graph's twelve faults.
+        "vertices 5 are not iterable": lambda: Graph(5),
+        "edges 5 are not iterable": lambda: Graph(["a"], 5),
         "a graph needs at least one vertex": lambda: Graph([]),
         "vertex name 0 is not a string": lambda: Graph([0]),
         "edge name 1 is not a string": lambda: Graph(["a"], [Edge(1, "a", "a")]),
@@ -157,12 +159,17 @@ def test_constructor_messages_and_first_fault(graphs):
         (lambda: Graph(["a"], [Edge("e", "zz", "a"), ("f", "a")]),
          "edge 'e' has unknown source 'zz'"),
         (lambda: Graph(["a"], [5]), "edge 5 is not a (name, source, range) triple"),
+        (lambda: Graph(["a", "a"], 5), "duplicate name 'a'"),
         # Once a bare TypeError from the spine name's join.
         (lambda: hedgehog_graph(Graph(["a", "b"], [Edge(1, "a", "b")]), {"b"}),
          "edge name 1 is not a string"),
     ]
     for build, message in first_faults:
         assert _message(build) == message
+    # An error raised while the vertices are iterated is not called theirs.
+    assert _message(lambda: Graph(len(v) for v in [5]), TypeError) == (
+        "object of type 'int' has no len()"
+    )
 
     parse_cases = {
         "vertices:\n": "line 1: empty vertex list",

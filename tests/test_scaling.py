@@ -10,6 +10,7 @@ the calls that do such work on a whole vertex set are counted by name.
 
 import sys
 from functools import partial
+from itertools import product
 
 import pytest
 
@@ -31,8 +32,10 @@ from leavitt import (
     socle_generators,
     socle_structure,
     verify_witness,
+    vertex_ideal_minimal,
 )
-from leavitt.sampling import line_graph
+from leavitt.algebra import Monomial
+from leavitt.sampling import line_graph, rose
 
 SIZES = (50, 100, 200, 400)
 
@@ -184,8 +187,9 @@ ELEMENT_OPERATIONS = {
     "*", "+", "reduce", "verify_witness", "nondegeneracy_witness",
     pytest.param("in_socle", marks=pytest.mark.xfail(
         strict=True,
-        reason="in_socle recomputes H and rebuilds the quotient graph and its "
-        "algebra on every call, linear in the graph (ROADMAP items 13 and 8)",
+        reason="in_socle rebuilds the quotient graph by H and its algebra on "
+        "every call, linear in the graph; H itself is kept (ROADMAP items 13 "
+        "and 8)",
     )),
 ])
 def test_element_operations_do_not_depend_on_graph_size(name):
@@ -223,6 +227,79 @@ def test_in_socle_on_an_acyclic_graph_reads_the_kept_counts():
         assert calls("hereditary_saturated_closure", lambda: in_socle(x)) == 0
         counts.append(opcodes(lambda: in_socle(x)))
     assert max(_ratios(counts)) <= 1.05, counts
+
+
+# Queries that read the graph's kept search of its cycles once it is filled.
+CYCLE_QUERIES = {
+    **{name: GRAPH_QUERIES[name] for name in ("condition_L", "is_acyclic", "socle_generators")},
+    "vertex_ideal_minimal": lambda g: partial(vertex_ideal_minimal, g, g.vertices[0]),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name", list(CYCLE_QUERIES))
+def test_second_calls_are_flat(family, name):
+    """The first cycle query on a graph runs the search and keeps it; a
+    second call of each of these only reads it, at any graph size."""
+    counts = []
+    for n in SIZES:
+        query = CYCLE_QUERIES[name](family(n))
+        query()
+        counts.append(opcodes(query))
+    assert max(_ratios(counts)) <= 1.05, counts
+
+
+@pytest.mark.parametrize("family", FAMILIES + [rose], ids=lambda f: f.__name__)
+def test_cycle_queries_search_nothing_again(family):
+    """is_simple closes the root the search found, with no backward search
+    for one (a rose has no sink to close), and H is read from the search,
+    not closed from the sinks."""
+    g = family(SIZES[0])
+    assert calls("_reaching", partial(is_simple, g)) == 0
+    assert calls("hereditary_saturated_closure", partial(socle_generators, g)) == 0
+
+
+def cuntz_sum(k: int) -> tuple[LeavittAlgebra, list]:
+    """The sum of w w^* over the 2^k words w of length k on rose(2), as
+    trusted (coefficient, monomial) pairs; it normalizes to v in 2^k - 1
+    rewrite steps."""
+    g = rose(2)
+    paths = [g.path("v", w) for w in product(("r1", "r2"), repeat=k)]
+    return LeavittAlgebra(g), [(1, Monomial(p, p)) for p in paths]
+
+
+def test_normalization_costs_the_same_per_rewrite_step():
+    """Opcodes per rewrite step grow by a constant factor at most per
+    doubling of the steps (31 to 255). The heap that orders the redexes
+    runs in C, so its log factor is not counted here."""
+    per_step = []
+    for k in (5, 6, 7, 8):
+        algebra, pairs = cuntz_sum(k)
+        result = []
+        count = opcodes(lambda: result.append(algebra.normal_form_steps(pairs)))
+        (x, steps), = result
+        assert str(x) == "1*v" and steps == 2 ** k - 1
+        per_step.append(count / steps)
+    assert max(_ratios(per_step)) <= 1.1, per_step
+
+
+def complete_plus_sink(n: int) -> Graph:
+    """K_n without loops (every vertex on many cycles, so the entry paths
+    into the sink are infinite in number) plus an edge k0 -> s to a sink."""
+    names = ["k%d" % i for i in range(n)]
+    edges = [Edge("%s_%s" % (u, v), u, v) for u in names for v in names if u != v]
+    return Graph(names + ["s"], edges + [Edge("out", "k0", "s")])
+
+
+def test_no_socle_query_is_exponential():
+    """socle_structure at depth 0 on K_n plus a sink, whose entry paths grow
+    exponentially with the depth: opcodes per (V+E) do not grow."""
+    per_size = []
+    for n in (4, 8, 16, 32):
+        g = complete_plus_sink(n)
+        count = opcodes(partial(socle_structure, g, 0))
+        per_size.append(count / (len(g.vertices) + len(g.edges)))
+    assert max(_ratios(per_size)) <= 1.1, per_size
 
 
 def test_opcodes_restores_the_previous_tracer():

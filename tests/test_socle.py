@@ -11,9 +11,11 @@ from leavitt import (
     PrimeField,
     QQ,
     SubsetError,
+    condition_L,
     entry_paths,
     in_socle,
     is_acyclic,
+    is_simple,
     left_ideal_sum_membership,
     line_points,
     matrix_rep,
@@ -25,6 +27,7 @@ from leavitt import (
     socle_generators,
     socle_is_nonzero,
     socle_structure,
+    vertex_ideal_minimal,
 )
 import leavitt.graphs
 import leavitt.socle
@@ -307,9 +310,13 @@ def test_library_graphs_are_checked_once(monkeypatch, algebras):
 def test_structure_sweeps_the_path_counts_once_per_graph(monkeypatch):
     """socle_structure reads the path counts for its summands and inside
     hedgehog_graph; a graph computes them once. A sweep is a call that
-    hands back counts no earlier call handed back."""
+    hands back counts no earlier call handed back. Likewise the one search
+    of the graph's cycles, behind the counts and every other cycle query,
+    runs once per graph."""
     results = []
+    searches = []
     sweep = leavitt.graphs._path_counts
+    search = leavitt.graphs._cycles
 
     def counted(graph):
         counts = sweep(graph)
@@ -317,14 +324,27 @@ def test_structure_sweeps_the_path_counts_once_per_graph(monkeypatch):
             results.append(counts)
         return counts
 
+    def searched(graph):
+        cycles = search(graph)
+        if not any(cycles is seen for seen in searches):
+            searches.append(cycles)
+        return cycles
+
     for module in (leavitt.graphs, leavitt.socle):
         monkeypatch.setattr(module, "_path_counts", counted)
+        monkeypatch.setattr(module, "_cycles", searched)
     for g in [parse_graph(text) for text in FIXTURE_TEXTS.values()] + [_k5_plus_sink()]:
         before = len(results)
         first = socle_structure(g)
         assert len(results) == before + 1
         assert socle_structure(g) == first
         assert len(results) == before + 1
+        assert len(searches) == before + 1
+        for query in (line_points, condition_L, is_simple, socle_generators):
+            query(g)
+        for v in g.vertices:
+            vertex_ideal_minimal(g, v)
+        assert len(searches) == before + 1
         # The kept counts take no part in equality or hashing.
         twin = Graph(g.vertices, g.edges)
         assert twin == g and hash(twin) == hash(g)
