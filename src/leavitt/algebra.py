@@ -122,6 +122,9 @@ class LeavittAlgebra:
         self.graph = graph
         self.field = field
         self._special = frozenset(special_edges(graph).values())
+        # The algebra of the quotient by the socle's H, built by the first
+        # membership test that needs it (leavitt.socle.in_socle).
+        self._socle_quotient: LeavittAlgebra | None = None
 
     def __repr__(self) -> str:
         return "LeavittAlgebra(%r, %s)" % (self.graph, self.field.name)

@@ -17,15 +17,15 @@ a few, over the vertices and edges; no routine enumerates cycles or
 recomputes a tree per vertex.
 
 Every question about where the cycles sit (acyclicity, the path counts, H,
-the line points and minimal vertex ideals, Condition (L), the root that
-decides simplicity, the components the blocking-cycle search stays in)
-reads one search, run on the first such query and kept on the graph. The
-other sweeps (tree, hereditary and saturated checks and closure, the
-backward and blocking-cycle searches, entry_paths, hedgehog_graph) check
-their vertex arguments once, at entry, and then read the graph's adjacency
-maps: out-edges from ``Graph._out`` and in-edges from ``Graph._in_map()``,
-built on first use and kept, both in declaration order. Only the public
-lookups check a vertex on every call.
+the line points and minimal vertex ideals, Condition (L), simplicity, the
+special edges of the quotient by H, the components the blocking-cycle
+search stays in) reads one search, run on the first such query and kept
+on the graph. The other sweeps (tree, hereditary and saturated checks and
+closure, the backward and blocking-cycle searches, entry_paths,
+hedgehog_graph) check their vertex arguments once, at entry, and then read
+the graph's adjacency maps: out-edges from ``Graph._out`` and in-edges
+from ``Graph._in_map()``, built on first use and kept, both in declaration
+order. Only the public lookups check a vertex on every call.
 
 Graphs are checked likewise, once, where their parts enter: the Graph
 constructor checks that each edge is a (name, source, range) triple, every
@@ -33,7 +33,8 @@ name (a non-empty unique string) and endpoint.
 parse_graph checks a text with line numbers, quotient_graph restricts a
 checked graph to a hereditary saturated complement, and hedgehog_graph
 counts its distinct names; each then builds through the unchecked
-Graph._built, which no other code calls.
+Graph._built, which no other code calls. The socle's membership test builds
+the quotient by the kept H through the same trusted core as quotient_graph.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ class Graph:
     @classmethod
     def _built(cls, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> Graph:
         """A graph from parts its caller has already checked as __init__
-        would; only parse_graph, quotient_graph and hedgehog_graph use it."""
+        would; only parse_graph, _quotient_graph and hedgehog_graph use it."""
         graph = cls.__new__(cls)
         graph._build(vertices, edges)
         return graph
@@ -417,8 +418,9 @@ class _Cycles(NamedTuple):
     counts: dict[str, int | None]
     h: frozenset[str]
     line: frozenset[str]
-    root: str
     condition_L: bool
+    closes: bool  # the closure of a component that no edge leaves is all
+    shifted: frozenset[str]  # special edges of E/H that are not special in E
 
 
 def _cycles(graph: Graph) -> _Cycles:
@@ -434,10 +436,14 @@ def _cycles(graph: Graph) -> _Cycles:
     vertices that reach no cycle) when all its out-edges enter H, and is a
     line point when it is a sink or its one out-edge enters a line point;
     Condition (L) holds when every cyclic component has a vertex whose
-    out-edges are not exactly one edge inside it. In reverse order, a vertex
-    on a cycle gets the path count None, and each final count is pushed
-    along out-edges. The first vertex completed lies in a component that no
-    edge leaves.
+    out-edges are not exactly one edge inside it. A vertex outside H whose
+    first out-edge enters H has another special edge in the quotient E/H:
+    its first out-edge that stays outside H. In reverse order, a vertex on a
+    cycle gets the path count None, and each final count is pushed along
+    out-edges. The first component completed is one that no edge leaves,
+    and its closure is every vertex exactly when each vertex outside it has
+    out-edges and lies on no cycle: such vertices join in completion order,
+    and no vertex of another cycle, or sink, ever can.
     """
     if graph._cycles is not None:
         return graph._cycles
@@ -477,11 +483,14 @@ def _cycles(graph: Graph) -> _Cycles:
 
     h: set[str] = set()
     line: set[str] = set()
+    shifted: set[str] = set()
     condition_l = exitless = True
     for v in order:
         es = out[v]
         if all(e.range in h for e in es):
             h.add(v)
+        elif es[0].range in h:
+            shifted.add(next(e.name for e in es if e.range not in h))
         if not es or len(es) == 1 and es[0].range in line:
             line.add(v)
         exitless = exitless and len(es) == 1 and component[es[0].range] == component[v]
@@ -489,15 +498,21 @@ def _cycles(graph: Graph) -> _Cycles:
             condition_l, exitless = condition_l and not exitless, True
 
     counts: dict[str, int | None] = dict.fromkeys(graph.vertices, 1)
+    terminal, closes = component[order[0]], True
     for v in reversed(order):
-        if any(component[e.range] == component[v] for e in out[v]):
+        es = out[v]
+        on_cycle = any(component[e.range] == component[v] for e in es)
+        if on_cycle:
             counts[v] = None
-        for e in out[v]:
+        if (on_cycle or not es) and component[v] != terminal:
+            closes = False
+        for e in es:
             if counts[e.range] is not None:
                 counts[e.range] = None if counts[v] is None else counts[e.range] + counts[v]
 
     graph._cycles = _Cycles(
-        component, counts, frozenset(h), frozenset(line), order[0], condition_l
+        component, counts, frozenset(h), frozenset(line), condition_l, closes,
+        frozenset(shifted),
     )
     return graph._cycles
 
@@ -645,12 +660,12 @@ def is_simple(graph: Graph) -> bool:
     Every nonempty hereditary set holds a strongly connected component that
     no edge leaves, and the closure of a vertex of one such component meets
     no other; so the sets are trivial exactly when the closure of the first
-    vertex the search of the cycles completes, which lies in one, is all.
+    component the search of the cycles completes, which is one, is all. The
+    search keeps that answer: every vertex outside the component has
+    out-edges and lies on no cycle.
     """
     cycles = _cycles(graph)
-    return cycles.condition_L and hereditary_saturated_closure(
-        graph, (cycles.root,)
-    ) == frozenset(graph.vertices)
+    return cycles.condition_L and cycles.closes
 
 
 # ----------------------------------------------------------------------
@@ -669,10 +684,18 @@ def quotient_graph(graph: Graph, subset: Iterable[str]) -> Graph:
         raise SubsetError("subset is not hereditary")
     if not is_saturated(graph, h):
         raise SubsetError("subset is not saturated")
-    vertices = tuple(v for v in graph.vertices if v not in h)
-    if not vertices:
+    if len(h) == len(graph.vertices):
         raise SubsetError("quotient by the whole vertex set is empty")
-    return Graph._built(vertices, tuple(e for e in graph.edges if e.range not in h))
+    return _quotient_graph(graph, h)
+
+
+def _quotient_graph(graph: Graph, h: frozenset[str]) -> Graph:
+    """quotient_graph by a set its caller trusts to be a proper hereditary
+    saturated subset of the graph's vertices."""
+    return Graph._built(
+        tuple(v for v in graph.vertices if v not in h),
+        tuple(e for e in graph.edges if e.range not in h),
+    )
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ closure of the sinks, and both are the vertices that reach no cycle, which
 the graph keeps from its one search of its cycles, so the socle is the
 whole algebra exactly when the graph is acyclic. The rest reduces
 questions about that ideal to graph combinatorics plus exact normal-form
-arithmetic: membership in a cyclic graph's socle is a quotient image under
-the map that kills H, the matricial shape is read off from paths into
-sinks, and on acyclic graphs a block-matrix representation doubles as a
-faithfulness oracle.
+arithmetic: the socle is the kernel of the map onto L(E/H), so membership
+reads the element's terms against the kept H and the quotient's special
+edges, and normalizes in the quotient only an element whose image is not
+already in normal form; the matricial shape is read off from paths
+into sinks, and on acyclic graphs a block-matrix representation doubles as
+a faithfulness oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .algebra import Element, LeavittAlgebra, MixedContextError
+from .algebra import Element, LeavittAlgebra, MixedContextError, Monomial
 from .graphs import (
     CyclicGraphError,
     Graph,
@@ -32,6 +34,7 @@ from .graphs import (
     _cycles,
     _depth_bound,
     _path_counts,
+    _quotient_graph,
     _vertex_set,
 )
 
@@ -89,12 +92,34 @@ def quotient_image(
 def in_socle(x: Element) -> bool:
     """Whether the element lies in the socle.
 
-    On an acyclic graph, as its kept search of its cycles tells, the socle is
-    everything. Otherwise it is the kernel of the quotient map by H, so
-    membership is one image computation.
+    The socle is the kernel of the map onto L(E/H), which kills the terms
+    ending in H (all of them on an acyclic graph) and keeps the others as
+    they are. A kept term p q* is in normal form in L(E/H) unless it ends
+    in p f (q f)* at a special edge f of E/H; since x is in normal form in
+    L(E), such an f is not special in E, so its source's first edge enters
+    H, which the graph's kept search of its cycles records. Without such a
+    term the kept terms are the normal form of the image, so x lies in the
+    socle exactly when none is kept. Otherwise they are normalized in the
+    algebra of E/H, built on the first such call and kept on x's algebra.
+    Once the search is kept, the cost depends on x, not on the size of the
+    graph.
     """
-    graph = x.algebra.graph
-    return is_acyclic(graph) or quotient_image(x, socle_generators(graph)).is_zero
+    algebra = x.algebra
+    cycles = _cycles(algebra.graph)
+    h, shifted = cycles.h, cycles.shifted
+    kept = [(m, c) for m, c in x.items() if m.real.range not in h]
+    if not any(_ends_at_one_of(m, shifted) for m, _ in kept):
+        return not kept
+    if algebra._socle_quotient is None:
+        quotient = _quotient_graph(algebra.graph, h)
+        algebra._socle_quotient = LeavittAlgebra(quotient, algebra.field)
+    return not algebra._socle_quotient._normalize(kept)[0]
+
+
+def _ends_at_one_of(m: Monomial, edges: frozenset[str]) -> bool:
+    """Whether both paths of the monomial end in the same edge, one of these."""
+    tail = m.real.edges[-1:]
+    return bool(tail) and tail == m.ghost.edges[-1:] and tail[0] in edges
 
 
 def left_ideal_sum_membership(x: Element, vertices: Iterable[str]) -> bool:

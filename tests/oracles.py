@@ -8,8 +8,9 @@ vertex for simplicity, paths are listed from every vertex, normalization
 scans its live redexes on every step, sums merge their terms in a dict and
 sort them again, the defining relations are checked with every generator
 built afresh at each use, reduction multiplies by every vertex to find
-where an element starts, and membership in a sum of left ideals multiplies
-by the vertex sum.
+where an element starts, membership in a sum of left ideals multiplies
+by the vertex sum, and membership in the socle builds the quotient by the
+closure of the line points and normalizes the whole image there.
 They are exponential or polynomial of high degree, so tests run them on
 small inputs only.
 """
@@ -47,7 +48,7 @@ from leavitt.reduction import (
     _common_closed_root,
     _first_bifurcation,
 )
-from leavitt.socle import SinkMatrices
+from leavitt.socle import SinkMatrices, quotient_image
 
 
 def vertices_on_cycles(graph: Graph) -> frozenset[str]:
@@ -481,6 +482,14 @@ def left_ideal_sum_membership(x: Element, vertices: Iterable[str]) -> bool:
     for v in algebra.graph.sorted_vertices(names):
         u = u + algebra.vertex(v)
     return x * u == x
+
+
+def in_socle(x: Element) -> bool:
+    """The socle is everything on an acyclic graph, and otherwise the kernel
+    of the quotient map by H: the image, normalized in a quotient algebra
+    built for this call, must vanish."""
+    graph = x.algebra.graph
+    return is_acyclic(graph) or quotient_image(x, socle_generators(graph)).is_zero
 
 
 def realify(x: Element) -> tuple[Path, Element]:

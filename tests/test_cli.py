@@ -207,6 +207,20 @@ def test_decisions(capsys, write_graph):
     )
 
 
+def test_member_of_an_element_with_no_term_in_h(capsys, tmp_path):
+    """e e* normalizes to v - f f*: no term ends in H = {s}, yet it lies in
+    the socle, since f is v's special edge in the quotient by H."""
+    path = tmp_path / "corner.graph"
+    path.write_text(
+        "vertices: v s u\nedge e: v -> s\nedge f: v -> u\nedge g: u -> u\n",
+        encoding="utf-8",
+    )
+    args = ("member", str(path), "--expr", "e e^*")
+    assert run(capsys, *args) == (0, "true\n", "")
+    rc, out, err = run(capsys, *args, "--format", "json")
+    assert (rc, json.loads(out), err) == (0, {"answer": True, "schema": 1}, "")
+
+
 def test_eval(capsys, write_graph):
     path = write_graph("W")
     assert run(capsys, "eval", path, "--expr", "e^* * (v + w)")[:2] == (0, "0\n")

@@ -87,19 +87,30 @@ def _enclosing_functions(tree: ast.AST, name: str) -> list[str | None]:
 
 
 def test_only_three_builders_skip_the_graph_checks():
-    """``Graph._built`` trusts its parts. Only parse_graph, quotient_graph
-    and hedgehog_graph, which check those parts themselves, may use it."""
+    """``Graph._built`` trusts its parts. Only parse_graph, _quotient_graph
+    and hedgehog_graph may use it. parse_graph and hedgehog_graph check
+    their parts themselves; _quotient_graph is reached only from
+    quotient_graph, which checks the set, and from in_socle, whose set is
+    the graph's own kept H."""
     package = Path(leavitt.__file__).parent
-    users = {
-        (p.name, where)
-        for p in sorted(package.glob("*.py"))
-        for where in _enclosing_functions(
-            ast.parse(p.read_text(encoding="utf-8")), "_built")
-    }
-    assert users == {
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(package.glob("*.py"))}
+
+    def users(name):
+        return {
+            (module, where)
+            for module, tree in trees.items()
+            for where in _enclosing_functions(tree, name)
+        }
+
+    assert users("_built") == {
         ("graphs.py", "parse_graph"),
-        ("graphs.py", "quotient_graph"),
+        ("graphs.py", "_quotient_graph"),
         ("graphs.py", "hedgehog_graph"),
+    }
+    assert users("_quotient_graph") == {
+        ("graphs.py", "quotient_graph"),
+        ("socle.py", "in_socle"),
     }
 
 

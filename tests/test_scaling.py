@@ -187,9 +187,10 @@ ELEMENT_OPERATIONS = {
     "*", "+", "reduce", "verify_witness", "nondegeneracy_witness",
     pytest.param("in_socle", marks=pytest.mark.xfail(
         strict=True,
-        reason="in_socle rebuilds the quotient graph by H and its algebra on "
-        "every call, linear in the graph; H itself is kept (ROADMAP items 13 "
-        "and 8)",
+        reason="a first in_socle call on a graph runs the graph's one search "
+        "of its cycles, linear in the graph, for H and the quotient's special "
+        "edges; later calls only read it "
+        "(test_second_in_socle_calls_are_flat)",
     )),
 ])
 def test_element_operations_do_not_depend_on_graph_size(name):
@@ -204,7 +205,7 @@ def test_element_operations_do_not_depend_on_graph_size(name):
     assert max(_ratios(counts)) <= 1.05, counts
 
 
-@pytest.mark.parametrize("name", [n for n in ELEMENT_OPERATIONS if n != "in_socle"])
+@pytest.mark.parametrize("name", list(ELEMENT_OPERATIONS))
 def test_element_operations_check_no_vertex_sets(name):
     """Checking a vertex set against the graph is C-level work linear in the
     set, which the opcode count does not see; these operations, on the same
@@ -229,9 +230,42 @@ def test_in_socle_on_an_acyclic_graph_reads_the_kept_counts():
     assert max(_ratios(counts)) <= 1.05, counts
 
 
+def with_corner(g: Graph) -> Graph:
+    """The graph with a disjoint copy of v -> s, v -> u, u -> u declared
+    after it: H holds s, and the special edge of v in the quotient by H
+    is f, not e."""
+    vertices = g.vertices + ("cv", "cs", "cu")
+    corner = (Edge("ce", "cv", "cs"), Edge("cf", "cv", "cu"), Edge("cg", "cu", "cu"))
+    return Graph(vertices, g.edges + corner)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("text, member, quotient", [
+    ("ce + cu + cf cg + cg^*", False, False),
+    ("ce ce^*", True, True),
+])
+def test_second_in_socle_calls_are_flat(family, text, member, quotient):
+    """Once the first call has filled the graph's kept search, and for an
+    element that needs it the quotient algebra kept on the algebra, a
+    second in_socle call on the same algebra costs the same at any graph
+    size, whether it reads the element's terms alone (the first element)
+    or normalizes them in the quotient (ce ce*, whose normal form
+    cv - cf cf* ends outside H)."""
+    counts = []
+    for n in SIZES:
+        algebra = LeavittAlgebra(with_corner(family(n)))
+        x = parse_element(algebra, text)
+        assert in_socle(x) is member
+        assert (algebra._socle_quotient is not None) is quotient
+        assert calls("_vertex_set", lambda: in_socle(x)) == 0
+        counts.append(opcodes(lambda: in_socle(x)))
+    assert max(_ratios(counts)) <= 1.05, counts
+
+
 # Queries that read the graph's kept search of its cycles once it is filled.
 CYCLE_QUERIES = {
-    **{name: GRAPH_QUERIES[name] for name in ("condition_L", "is_acyclic", "socle_generators")},
+    **{name: GRAPH_QUERIES[name]
+       for name in ("condition_L", "is_acyclic", "is_simple", "socle_generators")},
     "vertex_ideal_minimal": lambda g: partial(vertex_ideal_minimal, g, g.vertices[0]),
 }
 
@@ -251,11 +285,14 @@ def test_second_calls_are_flat(family, name):
 
 @pytest.mark.parametrize("family", FAMILIES + [rose], ids=lambda f: f.__name__)
 def test_cycle_queries_search_nothing_again(family):
-    """is_simple closes the root the search found, with no backward search
-    for one (a rose has no sink to close), and H is read from the search,
-    not closed from the sinks."""
+    """is_simple and H are read from the search: neither closes a set or
+    searches backward (a rose has no sink to close from), and a first
+    is_simple call leaves the in-edges unbuilt."""
     g = family(SIZES[0])
     assert calls("_reaching", partial(is_simple, g)) == 0
+    assert g._in is None
+    g = family(SIZES[0])
+    assert calls("hereditary_saturated_closure", partial(is_simple, g)) == 0
     assert calls("hereditary_saturated_closure", partial(socle_generators, g)) == 0
 
 

@@ -155,6 +155,51 @@ def test_in_socle_examples(algebras):
     assert in_socle(algebras["T"].zero())
 
 
+def test_in_socle_normalizes_in_the_quotient_only_when_it_must(monkeypatch):
+    """On v -> s, v -> u, u -> u, H is {s}, and e e* normalizes to v - f f*:
+    no term ends in H, yet it lies in the socle, because f is v's special
+    edge in the quotient. Of these elements only it, and f f*, need the
+    quotient algebra; the first call builds it, the one graph built, and
+    later calls build none."""
+    algebra = LeavittAlgebra(parse_graph(
+        "vertices: v s u\nedge e: v -> s\nedge f: v -> u\nedge g: u -> u\n"
+    ))
+    builds = []
+    built, init = Graph._built.__func__, Graph.__init__
+
+    def counted_built(cls, vertices, edges):
+        builds.append(vertices)
+        return built(cls, vertices, edges)
+
+    def counted_init(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Graph, "_built", classmethod(counted_built))
+    monkeypatch.setattr(Graph, "__init__", counted_init)
+    direct = {
+        "v": False, "s": True, "u": False, "e": True, "f": False, "g": False,
+        "e^*": True, "f^*": False, "g g^*": False, "f g f^*": False,
+        "e e^* f": True, "u - g g^*": True, "2 s + f g": False,
+    }
+    for text, member in direct.items():
+        y = parse_element(algebra, text)
+        assert oracles.in_socle(y) is member, text
+        builds.clear()
+        assert in_socle(y) is member and builds == [], text
+    assert algebra._socle_quotient is None
+    x, y = parse_element(algebra, "e e^*"), parse_element(algebra, "f f^*")
+    assert str(x) == "1*v - 1*f f^*"
+    assert oracles.in_socle(x) and not oracles.in_socle(y)
+    builds.clear()
+    assert in_socle(x) and len(builds) == 1
+    quotient = algebra._socle_quotient
+    assert quotient.graph == quotient_graph(algebra.graph, {"s"})
+    builds.clear()
+    assert in_socle(x) and not in_socle(y)
+    assert algebra._socle_quotient is quotient and builds == []
+
+
 def test_membership_in_vertex_ideal_sums(algebras):
     W = algebras["W"]
     estar = W.ghost("e")
