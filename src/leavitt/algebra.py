@@ -18,18 +18,18 @@ their normal forms coincide. Confluence of the rewriting (independence from
 the order redexes are picked) is exercised empirically by the test suite,
 against a scanning normalizer that may pick them in any order.
 
-Normalization always rewrites the least live redex first, popping it from a
-heap at O(log n) per rewrite step for n live redexes, within a budget of
-DEFAULT_STEP_LIMIT steps. A monomial and its paths are tuples, so they hash
-and compare in C; a monomial stores nothing but its two paths. A vertex,
-edge, ghost, path or ghost path has a trivial part, so it is never a redex
-and is built as its own normal form; only combinations of monomials are
-normalized. Input is checked once, where it enters: normal_form_steps
-walks each outside monomial's edges through the graph, which builds no
-paths, and coerces its coefficient. Sums, products, the involution and
-quotient images trust the normal forms they start from. Operations on
-elements of one algebra never compare graphs, so graph size does not
-enter their cost.
+Normalization rewrites the longest redexes first and each redex once, so
+input terms p q* take at most the sum of min(|p|, |q|) rewrite steps,
+within a budget of DEFAULT_STEP_LIMIT steps. A monomial and its paths are
+tuples, so they hash and compare in C; a monomial stores nothing but its
+two paths. A vertex, edge, ghost, path or ghost path has a trivial part,
+so it is never a redex and is built as its own normal form; only
+combinations of monomials are normalized. Input is checked once, where it
+enters: normal_form_steps walks each outside monomial's edges through the
+graph, which builds no paths, and coerces its coefficient. Sums, products,
+the involution and quotient images trust the normal forms they start
+from. Operations on elements of one algebra never compare graphs, so
+graph size does not enter their cost.
 
 Coefficients come from leavitt.fields, so everything here is exact.
 """
@@ -37,7 +37,6 @@ Coefficients come from leavitt.fields, so everything here is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Iterable, Iterator, NamedTuple
 
 from .fields import QQ, FieldError
@@ -65,11 +64,7 @@ def special_edges(graph: Graph) -> dict[str, str]:
     Relation (4) is only ever applied at these edges during normalization,
     which is what makes the rewriting terminate.
     """
-    return {
-        v: graph.out_edges(v)[0].name
-        for v in graph.vertices
-        if not graph.is_sink(v)
-    }
+    return {v: es[0].name for v, es in graph._out.items() if es}
 
 
 class _MonomialParts(NamedTuple):
@@ -272,17 +267,16 @@ class LeavittAlgebra:
         """Rewrite until no redex is left; return sorted terms and steps.
 
         The (monomial, coefficient) terms are trusted to chain and to hold
-        scalars of the field; only normal_form_steps checks. The redex
-        rewritten next is always the least live one by _mono_key. It is
-        popped from a heap with lazy deletion: an entry whose monomial has
-        since cancelled, or was rewritten already, is skipped, so each step
-        costs O(log n).
+        scalars of the field; only normal_form_steps checks. Redexes wait in
+        buckets by total length and are rewritten longest first. Rewriting
+        one of length L leaves one piece of length L - 2 and pieces of
+        length L that end in a non-special edge, so once a length is done
+        none of its redexes comes back: each is rewritten once, with its
+        whole coefficient, and an entry that has since cancelled is skipped.
+        The steps are at most the sum of min(|p|, |q|) over the terms p q*.
         """
-        key = self._mono_key
         live: dict[Monomial, object] = {}
-        # Keys tie only for equal monomials, which an entry gets twice when
-        # it cancels and comes back; those compare equal as tuples.
-        heap: list = []
+        buckets: dict[int, list[Monomial]] = {}
 
         def acc(m: Monomial, c) -> None:
             cur = live.get(m)
@@ -290,25 +284,27 @@ class LeavittAlgebra:
             if total:
                 live[m] = total
                 if cur is None and self._is_reducible(m):
-                    heappush(heap, (key(m), m))
+                    n = len(m.real.edges) + len(m.ghost.edges)
+                    buckets.setdefault(n, []).append(m)
             elif cur is not None:
                 del live[m]
 
         for m, c in terms:
             acc(m, c)
         steps = 0
-        while heap:
-            m = heappop(heap)[1]
-            # Only redexes are pushed, so a live entry is a live redex.
-            c = live.pop(m, None)
-            if c is None:
-                continue
-            if steps >= max_steps:
-                raise AlgebraError("normalization exceeded %d steps" % max_steps)
-            neg = -c
-            for sign, piece in self._rewrite(m):
-                acc(piece, c if sign > 0 else neg)
-            steps += 1
+        while buckets:
+            for m in buckets.pop(max(buckets)):
+                # Only redexes are bucketed, so a live entry is a live redex.
+                c = live.pop(m, None)
+                if c is None:
+                    continue
+                if steps >= max_steps:
+                    raise AlgebraError("normalization exceeded %d steps" % max_steps)
+                neg = -c
+                for sign, piece in self._rewrite(m):
+                    acc(piece, c if sign > 0 else neg)
+                steps += 1
+        key = self._mono_key
         ordered = tuple(sorted(live.items(), key=lambda kv: key(kv[0])))
         return ordered, steps
 

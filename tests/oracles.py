@@ -364,9 +364,10 @@ def normal_form_steps(
     pick(redexes, key=algebra._mono_key) returns; give the normal form and
     the number of rewrite steps.
 
-    Rewriting goes through the library's relation (4), so with pick=min
-    this takes the steps the library's heap takes, and with any other pick
-    it reaches the same normal form when the rewriting is confluent.
+    Rewriting goes through the library's relation (4), so with a pick of
+    any longest redex this takes the steps the library takes, and with any
+    other pick it reaches the same normal form when the rewriting is
+    confluent.
     """
     terms: dict[Monomial, object] = {}
     redexes: set[Monomial] = set()

@@ -338,7 +338,13 @@ def _cuntz_sum(algebra, k):
     return [(1, Monomial(g.path("v", w), g.path("v", w))) for w in words]
 
 
-def test_heap_pops_in_scan_order(algebras):
+def _longest(monos, key):
+    """Any redex of the greatest total length: within one length the order
+    does not change the step count."""
+    return max(monos, key=lambda m: len(m.real) + len(m.ghost))
+
+
+def test_longest_redex_first_matches_the_oracle(algebras):
     algebra = LeavittAlgebra(rose(3))
     x, steps = algebra.normal_form_steps(_cuntz_sum(algebra, 8))
     assert (str(x), steps) == ("1*v", 3280)
@@ -355,8 +361,27 @@ def test_heap_pops_in_scan_order(algebras):
         samples.append((algebra, _cuntz_sum(algebra, k)))
     for algebra, pairs in samples:
         assert algebra.normal_form_steps(pairs) == (
-            oracles.normal_form_steps(algebra, pairs, min)
+            oracles.normal_form_steps(algebra, pairs, _longest)
         )
+
+
+def test_each_redex_is_rewritten_once(algebras, monkeypatch):
+    R2 = algebras["R2"]
+    g = R2.graph
+    gg, gp = g.path("v", ["g", "g"]), g.path("v", ["g"])
+    rewritten = []
+    rewrite = LeavittAlgebra._rewrite
+
+    def counted(self, m):
+        rewritten.append(m)
+        return rewrite(self, m)
+
+    monkeypatch.setattr(LeavittAlgebra, "_rewrite", counted)
+    # g g (g g)^* leaves g g^*, which the input holds already: one rewrite
+    # takes both, with coefficient 2.
+    x, steps = R2.normal_form_steps(((1, Monomial(gg, gg)), (1, Monomial(gp, gp))))
+    assert (str(x), steps) == ("2*v - 2*h h^* - 1*g h h^* g^*", 2)
+    assert rewritten == [Monomial(gg, gg), Monomial(gp, gp)]
 
 
 def test_one_monomial_sorts_by_each_graphs_order():
@@ -457,9 +482,10 @@ def test_normal_form_step_bound(algebras):
     for algebra in algebras.values():
         for _ in range(40):
             pairs = random_raw_terms(rng, algebra)
-            total = sum(len(m.real) + len(m.ghost) for _, m in pairs)
+            # Each rewrite peels one edge off both paths, once per redex.
+            bound = sum(min(len(m.real), len(m.ghost)) for _, m in pairs)
             _, steps = algebra.normal_form_steps(pairs)
-            assert steps <= 4 ** total
+            assert steps <= bound
 
 
 def test_normal_form_is_idempotent(algebras):

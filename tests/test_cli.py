@@ -277,6 +277,8 @@ def test_exit_codes(capsys, tmp_path, write_graph):
 
     rc, _, err = run(capsys, "eval", path, "--expr", "v +")
     assert rc == 2 and "position" in err
+    rc, out, err = run(capsys, "eval", path, "--expr", "(v 2)")
+    assert (rc, out, err) == (2, "", "error: expected ')', got '2' (at position 4)\n")
 
     rc, _, err = run(capsys, "eval", path, "--expr", "v", "--field", "gf:6")
     assert rc == 2

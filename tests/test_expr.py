@@ -82,6 +82,13 @@ def test_parse_errors_carry_positions(algebras):
     with pytest.raises(ExprParseError) as info:
         parse_element(algebras["W"], "v @")
     assert "position 3" in str(info.value)
+    for text, message in (
+        ("(v 2)", "expected ')', got '2' (at position 4)"),
+        ("1/e", "expected an integer denominator (at position 3)"),
+    ):
+        with pytest.raises(ExprParseError) as info:
+            parse_element(algebras["W"], text)
+        assert str(info.value) == message
 
 
 def test_scalars_obey_the_field(graphs):

@@ -97,6 +97,8 @@ def test_gf_rejects_bad_input():
         F.parse("x")
     with pytest.raises(FieldError):
         F.coerce(GFElement(1, 3))
+    with pytest.raises(FieldError, match=r"^cannot coerce 1\.5 into GF\(5\)$"):
+        F.coerce(1.5)
     with pytest.raises(FieldError):
         GFElement(1, 5) + GFElement(1, 7)
 

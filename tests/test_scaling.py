@@ -307,8 +307,7 @@ def cuntz_sum(k: int) -> tuple[LeavittAlgebra, list]:
 
 def test_normalization_costs_the_same_per_rewrite_step():
     """Opcodes per rewrite step grow by a constant factor at most per
-    doubling of the steps (31 to 255). The heap that orders the redexes
-    runs in C, so its log factor is not counted here."""
+    doubling of the steps (31 to 255)."""
     per_step = []
     for k in (5, 6, 7, 8):
         algebra, pairs = cuntz_sum(k)
