@@ -26,12 +26,17 @@ two paths. A vertex, edge, ghost, path or ghost path has a trivial part,
 so it is never a redex and is built as its own normal form; only
 combinations of monomials are normalized. Input is checked once, where it
 enters: normal_form_steps walks each outside monomial's edges through the
-graph, which builds no paths, and coerces its coefficient. Sums, products,
-the involution and quotient images trust the normal forms they start
-from. Operations on elements of one algebra never compare graphs, so
-graph size does not enter their cost.
+graph, which builds no paths, and coerces its coefficient; a projection
+p p* walks its path once. Sums, products, the involution and quotient
+images trust the normal forms they start from. Operations on elements of
+one algebra never compare graphs, so graph size does not enter their
+cost. An algebra keeps no per-graph data of its own, so building one is
+O(1): the redex test reads a special edge as the first entry of its
+source's out-edges in the graph.
 
-Coefficients come from leavitt.fields, so everything here is exact.
+Coefficients come from leavitt.fields, so everything here is exact: over
+the rationals an int while it is integral, a Fraction once a denominator
+has entered it.
 """
 
 from __future__ import annotations
@@ -116,7 +121,6 @@ class LeavittAlgebra:
     def __init__(self, graph: Graph, field=QQ):
         self.graph = graph
         self.field = field
-        self._special = frozenset(special_edges(graph).values())
         # The algebra of the quotient by the socle's H, built by the first
         # membership test that needs it (leavitt.socle.in_socle).
         self._socle_quotient: LeavittAlgebra | None = None
@@ -225,14 +229,20 @@ class LeavittAlgebra:
             # _make and _replace skip Monomial.__new__; let it refuse them.
             Monomial(real, ghost)
         self.graph.require_path(real)
-        self.graph.require_path(ghost)
+        if ghost != real:
+            # A projection p p* walks its path once.
+            self.graph.require_path(ghost)
         return m
 
     def _is_reducible(self, m: Monomial) -> bool:
-        if not m.real.edges or not m.ghost.edges:
+        """Both paths end in one edge, and it is the first declared
+        out-edge of its source (special_edges)."""
+        r, q = m.real.edges, m.ghost.edges
+        if not r or not q or r[-1] != q[-1]:
             return False
-        last = m.real.edges[-1]
-        return last == m.ghost.edges[-1] and last in self._special
+        g = self.graph
+        last = r[-1]
+        return g._out[g.edge(last).source][0].name == last
 
     def _rewrite(self, m: Monomial) -> list[tuple[int, Monomial]]:
         """Apply relation (4) at the shared trailing special edge.
@@ -244,7 +254,8 @@ class LeavittAlgebra:
         """
         real, ghost = m
         gname = real.edges[-1]
-        v = self.graph.edge(gname).source
+        g = self.graph
+        v = g.edges[g._eindex[gname]].source
         rsrc, redges = real.source, real.edges[:-1]
         gsrc, gedges = ghost.source, ghost.edges[:-1]
         # The pieces chain by construction, so they skip the checking
@@ -252,7 +263,7 @@ class LeavittAlgebra:
         new = tuple.__new__
         shorter = (new(Path, (rsrc, redges, v)), new(Path, (gsrc, gedges, v)))
         out = [(1, new(Monomial, shorter))]
-        for e in self.graph._out[v]:
+        for e in g._out[v]:
             if e.name == gname:
                 continue
             tail = (e.name,)
@@ -277,15 +288,21 @@ class LeavittAlgebra:
         """
         live: dict[Monomial, object] = {}
         buckets: dict[int, list[Monomial]] = {}
+        g = self.graph
+        edges, eindex, out = g.edges, g._eindex, g._out
 
         def acc(m: Monomial, c) -> None:
             cur = live.get(m)
             total = c if cur is None else cur + c
             if total:
                 live[m] = total
-                if cur is None and self._is_reducible(m):
-                    n = len(m.real.edges) + len(m.ghost.edges)
-                    buckets.setdefault(n, []).append(m)
+                if cur is None:
+                    # _is_reducible, inlined: this runs for every new term.
+                    r, q = m[0][1], m[1][1]
+                    if r and q:
+                        last = r[-1]
+                        if last == q[-1] and out[edges[eindex[last]].source][0].name == last:
+                            buckets.setdefault(len(r) + len(q), []).append(m)
             elif cur is not None:
                 del live[m]
 

@@ -1,9 +1,14 @@
 """Scalar fields for exact computation.
 
-Two families are supported: the rationals (arbitrary precision, via
-``fractions.Fraction``) and the prime fields GF(p). Every coefficient that
-enters an algebra element goes through one of these, so arithmetic is exact
-everywhere; no floats appear anywhere in the package.
+Two families are supported: the rationals (arbitrary precision) and the
+prime fields GF(p). A rational scalar is a plain ``int`` while it is
+integral, and a ``fractions.Fraction`` once a denominator enters it
+(``from_pair``, ``parse``, or arithmetic with a Fraction); the two agree on
+``==``, ``hash`` and ``str``, so which one a coefficient is never shows. A
+GF(p) scalar is a ``GFElement``, the tuple (value, p). Every coefficient
+that enters an algebra element goes through one of these, so arithmetic is
+exact everywhere; no library code divides two coefficients, and no floats
+appear anywhere in the package.
 
 A field object knows how to build its scalars from ints, from numerator /
 denominator pairs, and from source text, and how to render them back to
@@ -13,8 +18,8 @@ rationals and ``gf:p`` for GF(p) with p prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class FieldError(ValueError):
@@ -58,70 +63,99 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GFElement:
-    """An element of GF(p), stored as the canonical representative in [0, p)."""
-
+class _GFParts(NamedTuple):
     value: int
     p: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.p)
 
-    def _same_field(self, other) -> bool:
-        # False for an operand that is no GF(p) scalar, whose reflected
-        # operator Python then tries: an algebra element scales itself.
-        same = isinstance(other, GFElement)
-        if same and other.p != self.p:
+class GFElement(_GFParts):
+    """An element of GF(p), stored as the canonical representative in [0, p).
+
+    An element is the immutable tuple (value, p) with named fields, like
+    Path, so it hashes and compares in C, as that tuple, and carries no
+    per-instance dictionary. The constructor reduces its value modulo p;
+    arithmetic builds its results already reduced.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: int, p: int) -> "GFElement":
+        return tuple.__new__(cls, (value % p, p))
+
+    @classmethod
+    def _make(cls, iterable) -> "GFElement":
+        # NamedTuple's _make, and _replace through it, would skip __new__.
+        return cls(*iterable)
+
+    def _foreign(self, other):
+        """The answer of an operator whose other operand is not a scalar of
+        this GF(p): NotImplemented for one that is no GF scalar at all, whose
+        reflected operator Python then tries (an algebra element scales
+        itself), and a FieldError for a scalar of another GF(q)."""
+        if isinstance(other, GFElement):
             raise FieldError("mixed scalars from different fields")
-        return same
+        return NotImplemented
+
+    # Each operator tests its operand inline: these run once per term that a
+    # normalization touches.
 
     def __add__(self, other: "GFElement") -> "GFElement":
-        if not self._same_field(other):
-            return NotImplemented
-        return GFElement(self.value + other.value, self.p)
+        a, p = self
+        if not isinstance(other, GFElement) or other[1] != p:
+            return self._foreign(other)
+        a += other[0]
+        return tuple.__new__(GFElement, (a - p if a >= p else a, p))
 
     def __sub__(self, other: "GFElement") -> "GFElement":
-        if not self._same_field(other):
-            return NotImplemented
-        return GFElement(self.value - other.value, self.p)
+        a, p = self
+        if not isinstance(other, GFElement) or other[1] != p:
+            return self._foreign(other)
+        a -= other[0]
+        return tuple.__new__(GFElement, (a + p if a < 0 else a, p))
 
     def __mul__(self, other: "GFElement") -> "GFElement":
-        if not self._same_field(other):
-            return NotImplemented
-        return GFElement(self.value * other.value, self.p)
+        a, p = self
+        if not isinstance(other, GFElement) or other[1] != p:
+            return self._foreign(other)
+        return tuple.__new__(GFElement, (a * other[0] % p, p))
+
+    # Not tuple repetition: an int times a GF(p) scalar is no operation.
+    __rmul__ = __mul__
 
     def __truediv__(self, other: "GFElement") -> "GFElement":
-        if not self._same_field(other):
-            return NotImplemented
-        if other.value == 0:
-            raise FieldError("division by zero in GF(%d)" % self.p)
+        a, p = self
+        if not isinstance(other, GFElement) or other[1] != p:
+            return self._foreign(other)
+        if not other[0]:
+            raise FieldError("division by zero in GF(%d)" % p)
         # Fermat inverse; p is prime.
-        return GFElement(self.value * pow(other.value, self.p - 2, self.p), self.p)
+        return tuple.__new__(GFElement, (a * pow(other[0], p - 2, p) % p, p))
 
     def __neg__(self) -> "GFElement":
-        return GFElement(-self.value, self.p)
+        a, p = self
+        return tuple.__new__(GFElement, (p - a if a else 0, p))
 
     def __bool__(self) -> bool:
-        return self.value != 0
+        return self[0] != 0
 
     def __str__(self) -> str:
-        return str(self.value)
+        return str(self[0])
 
 
 class RationalField:
-    """The field of rational numbers, scalars are ``Fraction``."""
+    """The field of rational numbers: a scalar is an ``int`` while it is
+    integral and a ``Fraction`` once a denominator has entered it."""
 
     name = "q"
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def one(self) -> int:
+        return 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return int(n)
 
     def from_pair(self, num: int, den: int) -> Fraction:
         if den == 0:
@@ -134,14 +168,17 @@ class RationalField:
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError("bad rational %r" % text) from exc
 
-    def coerce(self, value) -> Fraction:
+    def coerce(self, value) -> int | Fraction:
+        # The int test comes first: it is cheap, while a miss against
+        # Fraction goes through the numbers ABCs.
+        if isinstance(value, int):
+            # int(True) is 1: a bool enters as the int it stands for.
+            return int(value)
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, int):
-            return Fraction(value)
         raise FieldError("cannot coerce %r into the rationals" % (value,))
 
-    def render(self, value: Fraction) -> str:
+    def render(self, value: int | Fraction) -> str:
         try:
             return str(value)
         except ValueError:

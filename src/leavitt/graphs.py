@@ -342,9 +342,19 @@ def parse_graph(text: str) -> Graph:
     Edges may be declared before the vertices line that introduces their
     endpoints; endpoint existence is checked once the whole text is read.
     """
+    # The parts are read in their own frame, so the reader's tables are
+    # freed before the graph builds its own.
+    return Graph._built(*_graph_parts(text))
+
+
+def _graph_parts(text: str) -> tuple[tuple[str, ...], tuple[Edge, ...]]:
+    """The checked vertices and edges of a graph text, for parse_graph."""
     vertices: list[str] = []
+    # Every name declared so far: a vertex maps to itself, so that edges
+    # share its string instead of keeping the copies the regular
+    # expression made of their endpoints, and an edge maps to None.
+    names: dict[str, str | None] = {}
     pending: list[tuple[str, str, str, int]] = []
-    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -356,33 +366,30 @@ def parse_graph(text: str) -> Graph:
             for name in body.split():
                 if not _NAME_RE.match(name):
                     raise GraphParseError("bad vertex name %r" % name, lineno)
-                if name in seen:
+                if name in names:
                     raise GraphParseError("duplicate name %r" % name, lineno)
-                seen.add(name)
+                names[name] = name
                 vertices.append(name)
             continue
         m = _EDGE_RE.match(line)
         if m:
             name, source, range_ = m.groups()
-            if name in seen:
+            if name in names:
                 raise GraphParseError("duplicate name %r" % name, lineno)
-            seen.add(name)
-            pending.append((name, source, range_, lineno))
+            names[name] = None
+            pending.append((name, names.get(source) or source, names.get(range_) or range_, lineno))
             continue
         raise GraphParseError("cannot parse %r" % line, lineno)
     if not vertices:
         raise GraphParseError("no vertices declared")
-    # Edges share the vertex strings instead of keeping the copies the
-    # regular expression made of their endpoints.
-    names = {v: v for v in vertices}
     edges = []
     for name, source, range_, lineno in pending:
-        if source not in names:
+        if names.get(source) is None:
             raise GraphParseError("unknown source vertex %r" % source, lineno)
-        if range_ not in names:
+        if names.get(range_) is None:
             raise GraphParseError("unknown range vertex %r" % range_, lineno)
         edges.append(Edge(name, names[source], names[range_]))
-    return Graph._built(tuple(vertices), tuple(edges))
+    return tuple(vertices), tuple(edges)
 
 
 # ----------------------------------------------------------------------

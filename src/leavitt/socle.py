@@ -23,6 +23,7 @@ from .algebra import Element, LeavittAlgebra, MixedContextError, Monomial
 from .graphs import (
     CyclicGraphError,
     Graph,
+    GraphError,
     HedgehogGraph,
     Path,
     SubsetError,
@@ -157,7 +158,16 @@ class SocleReport:
     socle_is_whole: bool
 
     def summand_texts(self) -> tuple[str, ...]:
-        return tuple("inf" if n is None else str(n) for n in self.summands)
+        """The summand sizes as decimal text, "inf" for an infinite one.
+
+        Raises GraphError for a size of more digits than Python converts to
+        text (sys.get_int_max_str_digits(), 4,300 by default), as
+        RationalField.render does for a scalar; the size itself is exact.
+        """
+        try:
+            return tuple("inf" if n is None else str(n) for n in self.summands)
+        except ValueError:
+            raise GraphError("socle summand size too long to print") from None
 
 
 def socle_structure(graph: Graph, depth_bound: int | None = None) -> SocleReport:

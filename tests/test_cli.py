@@ -443,6 +443,29 @@ def test_overlong_integers_are_errors(capsys, write_graph):
         assert err == "error: rational scalar too long to print\n"
 
 
+def test_a_summand_too_long_to_print_is_an_error(capsys, tmp_path):
+    """A chain of k stages of three parallel edges has (3^(k+1) - 1) / 2
+    paths into its sink: at k = 9,100 that is 4,342 digits, past Python's
+    4,300-digit conversion limit. The library keeps the exact size; the
+    text and JSON reports both refuse it with one error line."""
+    k = 9100
+    path = tmp_path / "stages.graph"
+    path.write_text(
+        "vertices: " + " ".join("v%d" % i for i in range(k + 1)) + "\n"
+        + "".join("edge %s%d: v%d -> v%d\n" % (e, i, i, i + 1)
+                  for i in range(k) for e in "abc"),
+        encoding="utf-8",
+    )
+    report = leavitt.socle_structure(leavitt.parse_graph(path.read_text()), 0)
+    assert report.summands == ((3 ** (k + 1) - 1) // 2,)
+    with pytest.raises(leavitt.GraphError, match="^socle summand size too long to print$"):
+        report.summand_texts()
+    for argv in (["socle"], ["socle", "--format", "json"],
+                 ["structure", "--depth", "0", "--format", "json"]):
+        rc, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (rc, out, err) == (1, "", "error: socle summand size too long to print\n")
+
+
 def test_graph_file_must_be_utf8(capsys, tmp_path):
     path = tmp_path / "bad.graph"
     path.write_bytes(b"vertices: a \xff\xfe\n")

@@ -4,6 +4,7 @@ where the parts were already checked, and the one entry that checks
 elements."""
 
 import ast
+import re
 from pathlib import Path
 
 import leavitt
@@ -173,3 +174,18 @@ def test_trusted_elements_walk_no_paths(monkeypatch):
     assert len(one.items()) == 1000 and seen == none
     _, seen = count(lambda: LS.vertex("v"))
     assert seen == {"require_path": 0, "require_vertex": 1}
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    """Each print in the README's Python example is followed by a comment
+    holding the line it prints."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (snippet,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    expected = [
+        line.split("# ", 1)[1]
+        for line in snippet.splitlines()
+        if line.startswith("print(")
+    ]
+    assert expected
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

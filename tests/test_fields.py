@@ -1,7 +1,12 @@
+import ast
+import copy
+import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import leavitt
 from leavitt import (
     FieldError,
     GFElement,
@@ -118,3 +123,74 @@ def test_selector_parsing():
     for bad in ("gf:6", "gf:", "gf:x", "r", ""):
         with pytest.raises(FieldError):
             field_from_selector(bad)
+
+
+def test_rational_scalars_stay_ints_while_integral():
+    for value in (QQ.zero(), QQ.one(), QQ.from_int(-7), QQ.coerce(5), QQ.coerce(True)):
+        assert type(value) is int
+    assert QQ.coerce(True) == 1 and QQ.coerce(False) == 0
+    for value in (QQ.from_pair(6, 2), QQ.parse("3"), QQ.coerce(Fraction(6, 2))):
+        assert type(value) is Fraction and value == 3
+    assert type(QQ.one() + QQ.from_pair(1, 2)) is Fraction
+    assert QQ.render(QQ.from_int(-3)) == QQ.render(Fraction(-3)) == "-3"
+
+
+def test_gf_elements_are_immutable_values():
+    """The mirror of the Path and Monomial property: a GF(p) scalar is the
+    tuple (value, p), immutable, and survives copies and every pickle
+    protocol with its hash and repr."""
+    for p in (2, 5, 7, 2**61 - 1):
+        F = PrimeField(p)
+        for n in (0, 1, -1, 3, p + 4, -p - 2):
+            x = F.from_int(n)
+            assert type(x) is GFElement and x == (n % p, p) and 0 <= x.value < p
+            assert GFElement._make((n, p)) == x == F.one()._replace(value=n)
+            assert hash(x) == hash((n % p, p))
+            assert repr(x) == "GFElement(value=%d, p=%d)" % (n % p, p)
+            assert not hasattr(x, "__dict__")
+            for name in ("value", "p", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(x, name, 1)
+                with pytest.raises(AttributeError):
+                    delattr(x, name)
+            copies = [copy.copy(x), copy.deepcopy(x)] + [
+                pickle.loads(pickle.dumps(x, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+            ]
+            for c in copies:
+                assert type(c) is GFElement and c == x
+                assert hash(c) == hash(x) and repr(c) == repr(x)
+
+
+def test_gf_arithmetic_lands_reduced():
+    for p in (2, 3, 7, 101):
+        F = PrimeField(p)
+        values = range(-2, p + 2)
+        for a in values:
+            for b in values:
+                x, y = F.from_int(a), F.from_int(b)
+                assert x + y == F.from_int(a + b)
+                assert x - y == F.from_int(a - b)
+                assert x * y == F.from_int(a * b)
+                assert -x == F.from_int(-a)
+                assert bool(x) == (a % p != 0)
+                if b % p:
+                    assert (x / y) * y == x
+    with pytest.raises(TypeError):
+        3 * PrimeField(5).one()
+    with pytest.raises(TypeError):
+        PrimeField(5).one() * 3
+
+
+def test_no_library_code_divides_coefficients():
+    """int / int is a float, so no library code may divide two rational
+    coefficients: the one true division is GF(p)'s from_pair, between two
+    GF(p) scalars it builds itself."""
+    package = Path(leavitt.__file__).parent
+    divisions = []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                divisions.append((source.name, ast.unparse(node)))
+    assert divisions == [("fields.py", "GFElement(num, self.p) / GFElement(den, self.p)")]

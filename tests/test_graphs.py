@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -236,6 +237,36 @@ def test_parsed_edges_share_the_vertex_strings():
         ids = {id(v) for v in parsed.vertices}
         for e in parsed.edges:
             assert id(e.source) in ids and id(e.range) in ids
+
+
+def test_parsing_holds_little_beyond_the_graph_it_builds(monkeypatch):
+    """The reader's tables (the names seen, the pending edges) are one dict
+    and one list, freed before the graph builds its indexes, and an edge
+    keeps no copies of its endpoints: the peak of parsing a 3,000-vertex
+    line stays within half of what the graph keeps."""
+
+    def built(cls, vertices, edges):
+        # Graph._built without the checking rebuild that conftest wraps it in.
+        graph = cls.__new__(cls)
+        graph._build(vertices, edges)
+        return graph
+
+    monkeypatch.setattr(Graph, "_built", classmethod(built))
+    n = 3000
+    text = "vertices: %s\n%s" % (
+        " ".join("v%d" % i for i in range(n)),
+        "".join("edge e%d: v%d -> v%d\n" % (i, i, i + 1) for i in range(n - 1)),
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g = parse_graph(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.vertices) == n
+    assert peak - kept < (kept - before) / 2, (kept - before, peak - kept)
 
 
 def test_graph_keeps_the_edges_it_is_given():

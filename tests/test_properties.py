@@ -6,7 +6,9 @@ database, so every run checks the same inputs."""
 
 import copy
 import pickle
+import random
 from dataclasses import make_dataclass
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from leavitt import (
     QQ,
     Edge,
+    GFElement,
     Graph,
     LeavittAlgebra,
     Monomial,
@@ -28,7 +31,7 @@ from leavitt import (
     tree,
 )
 from leavitt.graphs import _first_cycle
-from leavitt.sampling import random_element
+from leavitt.sampling import random_element, random_raw_terms
 
 import oracles
 from golden.make import graph_text, run
@@ -222,6 +225,66 @@ def test_text_and_involution_round_trip(pair):
     x, y = pair
     assert parse_element(x.algebra, str(x)) == x
     assert (x * y).involution() == y.involution() * x.involution()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_element_pairs())
+def test_coefficients_are_exact_scalars(pair):
+    """Over Q every coefficient that items() hands back is an int or a
+    Fraction, never a float or a bool; over GF(p) it is a nonzero GF(p)
+    scalar of that p."""
+    x, y = pair
+    field = x.algebra.field
+    results = [x, y, x + y, x - y, x * y, x.involution(), parse_element(x.algebra, str(x))]
+    if field == QQ:
+        half = x * Fraction(1, 2)
+        results += [half, half + half, (y * Fraction(3, 2)) * 2, x * True]
+    for z in results:
+        for _, c in z.items():
+            if field == QQ:
+                assert type(c) in (int, Fraction)
+            else:
+                assert type(c) is GFElement and c.p == field.p and c
+
+
+@st.composite
+def _raw_rational_terms(draw):
+    """Raw (coefficient, monomial) pairs over Q on a drawn graph, half of
+    them pushed into the redex shape, then the projection p p* of each
+    real path p among them; and a seed for a scrambled pick."""
+    algebra = LeavittAlgebra(draw(graphs(max_vertices=5)))
+    rng = draw(st.randoms(use_true_random=False))
+    pairs = random_raw_terms(rng, algebra)
+    pairs += [(c, Monomial(m.real, m.real)) for c, m in pairs]
+    return algebra, pairs, rng.randrange(1 << 30)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_raw_rational_terms(), st.data())
+def test_mixed_scalars_and_twin_paths_normalize_alike(drawn, data):
+    """Over Q the same raw terms with each coefficient given as 3,
+    Fraction(3) or Fraction(6, 2) reach the normal form of the all-Fraction
+    input, with equal ==, hash and str, in the same steps, and so does a
+    scrambled pick of the redexes (confluence). A projection p p* whose
+    ghost is an equal path but another object takes the same steps."""
+    algebra, pairs, seed = drawn
+    spellings = (int, Fraction, lambda c: Fraction(2 * c, 2))
+    fractions = [(Fraction(c), m) for c, m in pairs]
+    mixed = [(data.draw(st.sampled_from(spellings))(int(c)), m) for c, m in pairs]
+    twins = [
+        (c, Monomial(m.real, _twin_path(m.ghost)) if m.real == m.ghost else m)
+        for c, m in pairs
+    ]
+    x, steps = algebra.normal_form_steps(fractions)
+    y, mixed_steps = algebra.normal_form_steps(mixed)
+    z, twin_steps = algebra.normal_form_steps(twins)
+    picker = random.Random(seed)
+    scrambled, _ = oracles.normal_form_steps(
+        algebra, mixed, lambda monos, key: picker.choice(sorted(monos, key=key))
+    )
+    assert mixed_steps == twin_steps == steps
+    for w in (y, z, scrambled):
+        assert w == x and hash(w) == hash(x) and str(w) == str(x)
 
 
 # ----------------------------------------------------------------------

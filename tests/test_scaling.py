@@ -319,6 +319,14 @@ def test_normalization_costs_the_same_per_rewrite_step():
     assert max(_ratios(per_step)) <= 1.1, per_step
 
 
+@pytest.mark.parametrize("family", [line_graph] + FAMILIES, ids=lambda f: f.__name__)
+def test_building_an_algebra_does_not_depend_on_graph_size(family):
+    """LeavittAlgebra(g) keeps nothing derived from the graph: the redex
+    test reads the graph's own out-edges."""
+    counts = [opcodes(partial(LeavittAlgebra, family(n))) for n in SIZES]
+    assert max(_ratios(counts)) <= 1.05, counts
+
+
 def complete_plus_sink(n: int) -> Graph:
     """K_n without loops (every vertex on many cycles, so the entry paths
     into the sink are infinite in number) plus an edge k0 -> s to a sink."""
