@@ -25,7 +25,9 @@ closure, the backward and blocking-cycle searches, entry_paths,
 hedgehog_graph) check their vertex arguments once, at entry, and then read
 the graph's adjacency maps: out-edges from ``Graph._out`` and in-edges
 from ``Graph._in_map()``, built on first use and kept, both in declaration
-order. Only the public lookups check a vertex on every call.
+order. entry_paths and hedgehog_graph start from the edges entering their
+set, found by one scan of the out-edges, so a set that no edge enters
+builds no in-edges. Only the public lookups check a vertex on every call.
 
 Graphs are checked likewise, once, where their parts enter: the Graph
 constructor checks that each edge is a (name, source, range) triple, every
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import filterfalse, islice
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -252,7 +254,7 @@ class Graph:
         return not self.out_edges(vertex)
 
     def sinks(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if not self._out[v])
+        return tuple(filterfalse(self._out.__getitem__, self.vertices))
 
     # ------------------------------------------------------------------
     # paths
@@ -266,14 +268,18 @@ class Graph:
         """The vertex the named edges lead to from the source, checking
         that the source exists and that the edges chain."""
         self.require_vertex(source)
+        edges, eindex = self.edges, self._eindex
         at = source
-        for name in names:
-            e = self.edge(name)
-            if e.source != at:
-                raise GraphError(
-                    "edge %r starts at %r, expected %r" % (name, e.source, at)
-                )
-            at = e.range
+        try:
+            for name in names:
+                e = edges[eindex[name]]
+                if e.source != at:
+                    raise GraphError(
+                        "edge %r starts at %r, expected %r" % (name, e.source, at)
+                    )
+                at = e.range
+        except KeyError:
+            raise GraphError("unknown edge %r" % (name,)) from None
         return at
 
     def path(self, source: str, edge_names: Iterable[str]) -> Path:
@@ -320,8 +326,12 @@ class Graph:
         )
 
     def sorted_vertices(self, subset: Iterable[str]) -> tuple[str, ...]:
-        """The given vertices in declaration order, validated."""
-        return tuple(sorted(_vertex_set(self, subset), key=self._vindex.__getitem__))
+        """The given vertices in declaration order, validated; all of them
+        are the declaration itself."""
+        vs = _vertex_set(self, subset)
+        if len(vs) == len(self.vertices):
+            return self.vertices
+        return tuple(sorted(vs, key=self._vindex.__getitem__))
 
 
 # ----------------------------------------------------------------------
@@ -536,8 +546,7 @@ def is_acyclic(graph: Graph) -> bool:
 
 def line_points(graph: Graph) -> tuple[str, ...]:
     """Vertices whose tree has no bifurcation and meets no cycle, in order."""
-    line = _cycles(graph).line
-    return tuple(v for v in graph.vertices if v in line)
+    return tuple(filter(_cycles(graph).line.__contains__, graph.vertices))
 
 
 def vertex_ideal_minimal(graph: Graph, vertex: str) -> bool:
@@ -555,11 +564,20 @@ def _vertex_set(graph: Graph, subset: Iterable[str]) -> frozenset[str]:
 
     One subset test checks them all; only when it fails is an unknown
     vertex named: the one whose repr sorts first, so that the message does
-    not depend on the order in which the set hashes its names.
+    not depend on the order in which the set hashes its names. Only a
+    string can be a vertex, so a name that cannot be hashed is unknown too;
+    a subset that is not iterable raises GraphError, as in the constructor.
     """
-    vs = frozenset(subset)
-    if not vs <= graph._vindex.keys():
-        graph.require_vertex(min(vs - graph._vindex.keys(), key=repr))
+    if not isinstance(subset, (set, frozenset)):
+        subset = tuple(_iterate(subset, "vertices"))
+    vindex = graph._vindex
+    try:
+        vs = frozenset(subset)
+    except TypeError:
+        vs = None
+    if vs is None or not vs <= vindex.keys():
+        unknown = [v for v in subset if not isinstance(v, str) or v not in vindex]
+        raise UnknownVertexError("unknown vertex %r" % (min(unknown, key=repr),))
     return vs
 
 
@@ -576,8 +594,11 @@ def _depth_bound(graph: Graph, depth_bound: int | None) -> int:
 
 
 def is_hereditary(graph: Graph, subset: Iterable[str]) -> bool:
-    """Closed under ranges: an edge out of the set cannot leave it."""
+    """Closed under ranges: an edge out of the set cannot leave it. The
+    whole vertex set is, without a look at its edges."""
     h = _vertex_set(graph, subset)
+    if len(h) == len(graph.vertices):
+        return True
     out = graph._out
     return all(e.range in h for v in h for e in out[v])
 
@@ -712,7 +733,7 @@ class HedgehogGraph:
     graph holds the assembled result: the restriction of the original graph
     to the set, plus a fresh vertex per entry path (named by its dotted edge
     list) carrying a single edge (same name with an ``@`` prefix) to the
-    path's range. complete is False when a cycle outside the set reaches it
+    path's range. For the whole vertex set it is the original graph. complete is False when a cycle outside the set reaches it
     (entry paths are then infinite in number; blocking_cycle is the
     shortlex-first simple cycle among the vertices outside the set that
     reach it) or when the depth bound cut enumeration short.
@@ -731,6 +752,25 @@ class HedgehogGraph:
 MAX_ENTRY_PATHS = 100_000
 
 
+def _entering(graph: Graph, h: frozenset[str]) -> list[Edge]:
+    """The edges from outside the set into it, in shortlex order as paths:
+    by source in declaration order, then in declaration order. One scan of
+    the out-edges, none for the whole vertex set; no in-edges are built."""
+    if len(h) == len(graph.vertices):
+        return []
+    out = graph._out
+    return [e for u in graph.vertices if u not in h for e in out[u] if e.range in h]
+
+
+def _check_entry_count(total: int, length: int) -> None:
+    """Refuse more than MAX_ENTRY_PATHS entry paths up to a length."""
+    if total > MAX_ENTRY_PATHS:
+        raise GraphError(
+            "%d entry paths up to length %d, more than the %d allowed; "
+            "lower the depth bound (--depth)" % (total, length, MAX_ENTRY_PATHS)
+        )
+
+
 def entry_paths(graph: Graph, subset: Iterable[str], max_length: int) -> list[Path]:
     """Paths that end inside the set having stayed outside it before.
 
@@ -740,33 +780,38 @@ def entry_paths(graph: Graph, subset: Iterable[str], max_length: int) -> list[Pa
     building the layer that would do it, when there are more than
     MAX_ENTRY_PATHS of them.
 
-    Starting from the trivial paths in the set, each round prepends the
-    edges from outside it, so no path longer than max_length is built.
-    Each layer comes out in shortlex order without sorting any path: the
-    paths of the previous layer are grouped by source, and e·p is emitted
-    for the outside sources u of edges into those groups in declaration
-    order, the out-edges e of u in declaration order, and the paths p of
-    the group at the range of e in their own order. Within one layer the
-    length is fixed and e·p starts at u, so shortlex compares u, then e,
-    then p, which is the emission order when the previous layer was
-    shortlex too.
+    The first layer is the edges entering the set, listed in shortlex order
+    by one scan of the out-edges; a set that no edge enters has none, and
+    the search ends there without building the in-edges. Each later round
+    prepends the edges from outside the set, so no path longer than
+    max_length is built. Each layer comes out in shortlex order without
+    sorting any path: the paths of the previous layer are grouped by
+    source, and e·p is emitted for the outside sources u of edges into
+    those groups in declaration order, the out-edges e of u in declaration
+    order, and the paths p of the group at the range of e in their own
+    order. Within one layer the length is fixed and e·p starts at u, so
+    shortlex compares u, then e, then p, which is the emission order when
+    the previous layer was shortlex too.
     """
     h = _vertex_set(graph, subset)
-    out, inn, vindex = graph._out, graph._in_map(), graph._vindex
+    if max_length < 1:
+        return []
+    entering = _entering(graph, h)
+    _check_entry_count(len(entering), 1)
     new = tuple.__new__
-    layer = [new(Path, (v, (), v)) for v in h]
+    layer = [new(Path, (e.source, (e.name,), e.range)) for e in entering]
     found: list[Path] = []
-    for length in range(1, max_length + 1):
+    out, vindex = graph._out, graph._vindex
+    for length in range(2, max_length + 1):
+        if not layer:
+            break
+        found.extend(layer)
         groups: dict[str, list[Path]] = {}
         for p in layer:
             groups.setdefault(p.source, []).append(p)
+        inn = graph._in_map()
         entering = [e for v in groups for e in inn[v] if e.source not in h]
-        total = len(found) + sum(len(groups[e.range]) for e in entering)
-        if total > MAX_ENTRY_PATHS:
-            raise GraphError(
-                "%d entry paths up to length %d, more than the %d allowed; "
-                "lower the depth bound (--depth)" % (total, length, MAX_ENTRY_PATHS)
-            )
+        _check_entry_count(len(found) + sum(len(groups[e.range]) for e in entering), length)
         layer = [
             new(Path, (u, (e.name,) + p.edges, p.range))
             for u in sorted({e.source for e in entering}, key=vindex.__getitem__)
@@ -774,9 +819,7 @@ def entry_paths(graph: Graph, subset: Iterable[str], max_length: int) -> list[Pa
             if e.range in groups
             for p in groups[e.range]
         ]
-        if not layer:
-            break
-        found.extend(layer)
+    found.extend(layer)
     return found
 
 
@@ -859,10 +902,15 @@ def hedgehog_graph(
     when omitted, else a nonnegative int). As the set is hereditary, an
     entry path is a path ending at the source of an edge into it plus that
     edge, so the path counts at those sources add up to their number,
-    finite exactly when no blocking cycle (found by one backward search)
-    reaches the set. The result is complete when the spines reach that
-    number. More than MAX_ENTRY_PATHS spines raise GraphError, as in
-    entry_paths.
+    finite exactly when no blocking cycle reaches the set. That cycle is
+    sought among the vertices a backward search from those sources finds,
+    which heredity keeps outside the set. The result is complete when the
+    spines reach that number. More than MAX_ENTRY_PATHS spines raise
+    GraphError, as in entry_paths.
+
+    All of it starts from the edges entering the set. When the set is every
+    vertex, none does: there are no spines and no search, and the hedgehog
+    is the graph itself, not a copy.
 
     Names in a graph built directly may contain ``.`` and ``@``, so a spine
     name can collide with another name; one count of the distinct names
@@ -875,30 +923,33 @@ def hedgehog_graph(
     depth_bound = _depth_bound(graph, depth_bound)
 
     counts = _path_counts(graph)
-    blocking = _first_cycle(
-        graph, {v for v in _reaching(graph, h) - h if counts[v] is None}
-    )
+    entering = _entering(graph, h)
+    blocking = None
+    if entering:
+        reaching = _reaching(graph, {e.source for e in entering})
+        blocking = _first_cycle(graph, {v for v in reaching if counts[v] is None})
     spines = entry_paths(graph, h, depth_bound)
-    complete = blocking is None and len(spines) == sum(
-        counts[e.source] for e in graph.edges if e.source not in h and e.range in h
-    )
+    complete = blocking is None and len(spines) == sum(counts[e.source] for e in entering)
 
-    vertices = list(ideal)
-    edges = [e for e in graph.edges if e.source in h]
-    entry_names = []
-    for p in spines:
-        name = ".".join(p.edges)
-        entry_names.append(name)
-        vertices.append(name)
-        edges.append(Edge("@" + name, name, p.range))
-    if not vertices:
-        raise SubsetError("hedgehog of the empty set is empty")
-    distinct = len({*vertices, *(e.name for e in edges)})
-    build = Graph._built if distinct == len(vertices) + len(edges) else Graph
+    if len(ideal) == len(graph.vertices):
+        assembled = graph
+    else:
+        vertices = list(ideal)
+        edges = [e for e in graph.edges if e.source in h]
+        new = tuple.__new__
+        for p in spines:
+            name = ".".join(p.edges)
+            vertices.append(name)
+            edges.append(new(Edge, ("@" + name, name, p.range)))
+        if not vertices:
+            raise SubsetError("hedgehog of the empty set is empty")
+        distinct = len({*vertices, *(e.name for e in edges)})
+        build = Graph._built if distinct == len(vertices) + len(edges) else Graph
+        assembled = build(tuple(vertices), tuple(edges))
     return HedgehogGraph(
-        graph=build(tuple(vertices), tuple(edges)),
+        graph=assembled,
         ideal_part=ideal,
-        entry_part=tuple(entry_names),
+        entry_part=assembled.vertices[len(ideal):],
         complete=complete,
         blocking_cycle=blocking,
     )

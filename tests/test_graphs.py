@@ -330,10 +330,16 @@ def test_path_construction_and_validation(graphs):
     assert (p.source, p.edges, p.range) == ("v1", ("a", "b"), "v3")
     assert len(p) == 2
     assert g.trivial_path("v2").is_trivial
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^edge 'b' starts at 'v2', expected 'v1'$"):
         g.path("v1", ["b"])
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^edge 'b' starts at 'v2', expected 'v3'$"):
+        g.path("v1", ["a", "b", "b"])
+    with pytest.raises(GraphError, match=r"^edge 'a' starts at 'v1', expected 'v2'$"):
         g.path("v1", ["a", "a"])
+    with pytest.raises(GraphError, match=r"^unknown edge 'zz'$"):
+        g.path("v1", ["a", "zz"])
+    with pytest.raises(UnknownVertexError, match=r"^unknown vertex 'zz'$"):
+        g.path("zz", [])
     q = g.concat(g.path("v1", ["a"]), g.path("v2", ["b"]))
     assert q == p
     with pytest.raises(GraphError):
@@ -760,6 +766,30 @@ def test_entry_paths_match_the_oracle_on_any_subset():
             assert entry_paths(g, subset, depth) == [p for p in every if len(p) <= depth]
 
 
+def test_hedgehogs_of_forward_closures_match_the_oracle():
+    """Any hereditary set, not only the socle's H: the forward closure of
+    random seeds, which need not be saturated, at depths 0, 1, 2, V+1 and
+    V+2. This pins the blocking-cycle search that starts from the sources
+    of the edges entering the set. A set that no edge enters, such as the
+    whole vertex set, has no entry paths, and its hedgehog is the graph's
+    restriction to it, which for the whole set is the graph itself."""
+    rng = random.Random(53)
+    blocked = unentered = 0
+    for g in _oracle_graphs():
+        n = len(g.vertices)
+        h = tree(g, {v for v in g.vertices if rng.random() < 0.3} or g.vertices[:1])
+        for depth in (0, 1, 2, n + 1, n + 2):
+            hh = hedgehog_graph(g, h, depth)
+            assert hh == oracles.hedgehog_graph(g, h, depth)
+        blocked += hh.blocking_cycle is not None
+        if not any(e.source not in h and e.range in h for e in g.edges):
+            unentered += 1
+            assert entry_paths(g, h, n + 2) == [] and hh.complete
+        assert entry_paths(g, g.vertices, n + 2) == []
+        assert hedgehog_graph(g, g.vertices).graph is g
+    assert blocked >= 50 and unentered >= 50, (blocked, unentered)
+
+
 def test_unknown_vertex_messages(graphs):
     g = graphs["W"]
     for query in (
@@ -774,6 +804,36 @@ def test_unknown_vertex_messages(graphs):
     ):
         with pytest.raises(UnknownVertexError, match=r"^unknown vertex 'zz'$"):
             query("zz")
+
+
+def test_vertex_set_messages(graphs):
+    """A vertex set that is not iterable fails as the constructor's vertex
+    list does, and a name in it that cannot be hashed is an unknown vertex,
+    as an unhashable endpoint is in the constructor: only a string can be a
+    vertex. The unknown name whose repr sorts first is the one named."""
+    g = graphs["W"]
+    for query in (
+        g.sorted_vertices,
+        lambda s: tree(g, s),
+        lambda s: is_hereditary(g, s),
+        lambda s: hereditary_saturated_closure(g, s),
+        lambda s: quotient_graph(g, s),
+        lambda s: entry_paths(g, s, 2),
+        lambda s: hedgehog_graph(g, s),
+    ):
+        for subset in (5, None):
+            message = "vertices %r are not iterable" % (subset,)
+            with pytest.raises(GraphError, match="^%s$" % re.escape(message)):
+                query(subset)
+        for subset, name in (
+            ([["a"]], ["a"]),
+            ((v for v in ["v", ["a"]]), ["a"]),
+            (["v", ["a"], 5], 5),
+            (["zz", ["a"]], "zz"),
+        ):
+            message = "unknown vertex %r" % (name,)
+            with pytest.raises(UnknownVertexError, match="^%s$" % re.escape(message)):
+                query(subset)
 
 
 def _complete_plus_sink(n: int) -> Graph:

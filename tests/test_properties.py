@@ -26,8 +26,12 @@ from leavitt import (
     in_socle,
     is_simple,
     parse_element,
+    paths_from_by_length,
+    quotient_graph,
     socle_equals_algebra,
     socle_generators,
+    socle_is_nonzero,
+    socle_structure,
     tree,
 )
 from leavitt.graphs import _first_cycle
@@ -81,6 +85,72 @@ def test_entry_paths_come_out_shortlex(data):
     subset = data.draw(st.sets(st.sampled_from(g.vertices)))
     paths = entry_paths(g, subset, data.draw(st.integers(0, len(g.vertices) + 2)))
     assert paths == sorted(paths, key=g.path_sort_key)
+
+
+# ----------------------------------------------------------------------
+# the socle's structure
+# ----------------------------------------------------------------------
+
+@st.composite
+def _cyclic_graphs_with_a_sink(draw):
+    """A drawn graph on up to seven vertices plus a loop at one of them and
+    an edge from one of them into a new sink s, in any declaration order:
+    the graph has a cycle, and H holds s."""
+    g = draw(graphs(max_vertices=7))
+    loop, feed = draw(st.sampled_from(g.vertices)), draw(st.sampled_from(g.vertices))
+    edges = g.edges + (Edge("loop", loop, loop), Edge("feed", feed, "s"))
+    return Graph(draw(st.permutations(g.vertices + ("s",))), edges)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_cyclic_graphs_with_a_sink())
+def test_the_socle_series_stops_at_once(g):
+    """The quotient of a graph with a cycle by H, the closure of its line
+    points, has no sink and so no line point: its socle is zero, and the
+    series of socles stops after one step."""
+    q = quotient_graph(g, socle_generators(g))
+    assert not socle_is_nonzero(q)
+    assert oracles.line_points(q) == ()
+
+
+@st.composite
+def _acyclic_graphs(draw, max_vertices=8):
+    """One to max_vertices vertices in any declaration order and up to ten
+    edges, parallel ones included, each from a lower-numbered vertex to a
+    higher one."""
+    n = draw(st.integers(1, max_vertices))
+    names = ["v%d" % i for i in range(n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+    ends = [(min(i, j), max(i, j)) for i, j in pairs if i != j]
+    edges = [Edge("e%d" % k, names[i], names[j]) for k, (i, j) in enumerate(ends)]
+    return Graph(draw(st.permutations(names)), edges)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_acyclic_graphs())
+def test_acyclic_socle_summands_count_the_normal_forms(g):
+    """On an acyclic graph the socle is the whole algebra, the sum of the
+    matrix algebras M_n(w)(K) over the sinks w, so the squares of the
+    summand sizes add up to its dimension: the number of normal-form
+    monomials p q*, pairs of paths with a common range that do not both end
+    in the same special edge (the first out-edge of its source), counted
+    here pair by pair."""
+    ending: dict[str, list[tuple[str, ...]]] = {}
+    for v in g.vertices:
+        for layer in paths_from_by_length(g, v, len(g.vertices)):
+            for p in layer:
+                ending.setdefault(p.range, []).append(p.edges)
+    special = {g.out_edges(v)[0].name for v in g.vertices if not g.is_sink(v)}
+    normal = sum(
+        1
+        for paths in ending.values()
+        for p in paths
+        for q in paths
+        if not (p and q and p[-1] == q[-1] and p[-1] in special)
+    )
+    report = socle_structure(g)
+    assert report.socle_is_whole and report.hedgehog.graph is g
+    assert sum(n * n for n in report.summands) == normal
 
 
 # ----------------------------------------------------------------------
