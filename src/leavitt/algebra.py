@@ -115,6 +115,17 @@ class Monomial(_MonomialParts):
         return " ".join(bits)
 
 
+def _term(term: tuple[object, Monomial]) -> tuple[object, Monomial]:
+    """An outside term, checked to be a (coefficient, monomial) pair."""
+    try:
+        c, m = term
+    except (TypeError, ValueError):
+        m = None
+    if not isinstance(m, Monomial):
+        raise AlgebraError("term %r is not a (coefficient, monomial) pair" % (term,))
+    return c, m
+
+
 class LeavittAlgebra:
     """The Leavitt path algebra of a graph over a chosen field."""
 
@@ -199,9 +210,12 @@ class LeavittAlgebra:
         pairs: Iterable[tuple[object, Monomial]],
         max_steps: int = DEFAULT_STEP_LIMIT,
     ) -> tuple["Element", int]:
-        # The one entry that checks: each monomial, then its coefficient.
+        # The one entry that checks: each term's shape, its monomial, then
+        # its coefficient.
         check, coerce = self._check_monomial, self.field.coerce
-        terms, steps = self._normalize(((check(m), coerce(c)) for c, m in pairs), max_steps)
+        terms, steps = self._normalize(
+            ((check(m), coerce(c)) for c, m in map(_term, pairs)), max_steps
+        )
         return Element(self, terms), steps
 
     # ------------------------------------------------------------------

@@ -16,18 +16,19 @@ hereditary set by its entry paths. Each whole-graph notion is one sweep, or
 a few, over the vertices and edges; no routine enumerates cycles or
 recomputes a tree per vertex.
 
-Every question about where the cycles sit (acyclicity, the path counts, H,
-the line points and minimal vertex ideals, Condition (L), simplicity, the
-special edges of the quotient by H, the components the blocking-cycle
-search stays in) reads one search, run on the first such query and kept
-on the graph. The other sweeps (tree, hereditary and saturated checks and
-closure, the backward and blocking-cycle searches, entry_paths,
-hedgehog_graph) check their vertex arguments once, at entry, and then read
-the graph's adjacency maps: out-edges from ``Graph._out`` and in-edges
-from ``Graph._in_map()``, built on first use and kept, both in declaration
-order. entry_paths and hedgehog_graph start from the edges entering their
-set, found by one scan of the out-edges, so a set that no edge enters
-builds no in-edges. Only the public lookups check a vertex on every call.
+Every question about where the cycles sit (acyclicity, the path counts at
+the sinks, H, the line points and minimal vertex ideals, Condition (L),
+simplicity, the special edges of the quotient by H, the components the
+blocking-cycle search stays in) reads one search, run on the first such
+query and kept on the graph. The other sweeps (tree, hereditary and
+saturated checks and closure, the backward and blocking-cycle searches,
+entry_paths, hedgehog_graph) check their vertex arguments once, at entry,
+and then read the graph's adjacency maps: out-edges from ``Graph._out``
+and in-edges from ``Graph._in_map()``, built on first use and kept, both
+in declaration order. entry_paths and hedgehog_graph start from the
+edges entering their set, found by one scan of the out-edges, so a set
+that no edge enters builds no in-edges. Only the public lookups check a
+vertex on every call.
 
 Graphs are checked likewise, once, where their parts enter: the Graph
 constructor checks that each edge is a (name, source, range) triple, every
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import filterfalse, islice
+from itertools import filterfalse, islice, takewhile
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -284,7 +285,9 @@ class Graph:
 
     def path(self, source: str, edge_names: Iterable[str]) -> Path:
         """Build a path from its source and edge names, checking the chain."""
-        names = tuple(edge_names)
+        names = edge_names
+        if type(names) is not tuple:  # a tuple is shared, as tuple() would
+            names = tuple(_iterate(names, "edge names"))
         return Path(source, names, self._walk(source, names))
 
     def require_path(self, path: Path) -> Path:
@@ -432,7 +435,7 @@ class _Cycles(NamedTuple):
     """Where the graph's cycles sit, as _cycles finds it."""
 
     component: dict[str, str]  # each vertex to the root of its component
-    counts: dict[str, int | None]
+    counts: dict[str, int | None]  # paths ending at each sink, None if infinite
     h: frozenset[str]
     line: frozenset[str]
     condition_L: bool
@@ -455,12 +458,17 @@ def _cycles(graph: Graph) -> _Cycles:
     Condition (L) holds when every cyclic component has a vertex whose
     out-edges are not exactly one edge inside it. A vertex outside H whose
     first out-edge enters H has another special edge in the quotient E/H:
-    its first out-edge that stays outside H. In reverse order, a vertex on a
-    cycle gets the path count None, and each final count is pushed along
-    out-edges. The first component completed is one that no edge leaves,
-    and its closure is every vertex exactly when each vertex outside it has
-    out-edges and lies on no cycle: such vertices join in completion order,
-    and no vertex of another cycle, or sink, ever can.
+    its first out-edge that stays outside H. In reverse order, every edge
+    into a vertex from another component comes before its turn, so the
+    number of paths ending there is final then (None on a cycle, where it is
+    infinite): it is pushed along the vertex's out-edges and dropped, unless
+    the vertex is a sink. So the search holds only the counts still to push
+    and keeps only the sinks'; a push that finds a count dropped stays in a
+    cyclic component, where every count is None. The first component
+    completed is one that no edge leaves, and its closure is every vertex
+    exactly when each vertex outside it has out-edges and lies on no cycle:
+    such vertices join in completion order, and no vertex of another cycle,
+    or sink, ever can.
     """
     if graph._cycles is not None:
         return graph._cycles
@@ -519,23 +527,26 @@ def _cycles(graph: Graph) -> _Cycles:
     for v in reversed(order):
         es = out[v]
         on_cycle = any(component[e.range] == component[v] for e in es)
-        if on_cycle:
-            counts[v] = None
         if (on_cycle or not es) and component[v] != terminal:
             closes = False
+        n = counts.pop(v) if es else None  # a sink keeps its count
         for e in es:
-            if counts[e.range] is not None:
-                counts[e.range] = None if counts[v] is None else counts[e.range] + counts[v]
+            if counts.get(e.range) is not None:
+                counts[e.range] = None if on_cycle or n is None else counts[e.range] + n
 
+    # The counts are copied: a dict keeps the table it grew to for every
+    # vertex when its entries are dropped, and only the sinks' are left.
     graph._cycles = _Cycles(
-        component, counts, frozenset(h), frozenset(line), condition_l, closes,
+        component, dict(counts), frozenset(h), frozenset(line), condition_l, closes,
         frozenset(shifted),
     )
     return graph._cycles
 
 
 def _path_counts(graph: Graph) -> dict[str, int | None]:
-    """Paths ending at each vertex, the trivial one included; None where a cycle reaches it."""
+    """Paths ending at each sink, the trivial one included, keyed by the
+    sinks in declaration order; None where a cycle reaches the sink. Only
+    the socle's summands read them."""
     return _cycles(graph).counts
 
 
@@ -581,14 +592,19 @@ def _vertex_set(graph: Graph, subset: Iterable[str]) -> frozenset[str]:
     return vs
 
 
+def _integer(value: int, what: str) -> int:
+    """The value, checked to be an int (a bool is not one)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise GraphError("%s %r is not an integer" % (what, value))
+    return value
+
+
 def _depth_bound(graph: Graph, depth_bound: int | None) -> int:
     """A hedgehog depth bound, vertex count + 1 when None, checked to be a
-    nonnegative int (a bool is not one)."""
+    nonnegative int."""
     if depth_bound is None:
         return len(graph.vertices) + 1
-    if not isinstance(depth_bound, int) or isinstance(depth_bound, bool):
-        raise GraphError("hedgehog depth bound %r is not an integer" % (depth_bound,))
-    if depth_bound < 0:
+    if _integer(depth_bound, "hedgehog depth bound") < 0:
         raise GraphError("negative hedgehog depth bound %d" % depth_bound)
     return depth_bound
 
@@ -733,10 +749,13 @@ class HedgehogGraph:
     graph holds the assembled result: the restriction of the original graph
     to the set, plus a fresh vertex per entry path (named by its dotted edge
     list) carrying a single edge (same name with an ``@`` prefix) to the
-    path's range. For the whole vertex set it is the original graph. complete is False when a cycle outside the set reaches it
-    (entry paths are then infinite in number; blocking_cycle is the
-    shortlex-first simple cycle among the vertices outside the set that
-    reach it) or when the depth bound cut enumeration short.
+    path's range. For the whole vertex set it is the original graph.
+    complete says whether the spines are all the entry paths, which
+    hedgehog_graph reads off the longest spines. It is False when a cycle
+    outside the set reaches it (entry paths are then infinite in number;
+    blocking_cycle is the shortlex-first simple cycle among the vertices
+    outside the set that reach it) or when the depth bound cut enumeration
+    short.
     """
 
     graph: Graph
@@ -776,7 +795,8 @@ def entry_paths(graph: Graph, subset: Iterable[str], max_length: int) -> list[Pa
 
     A path e1 ... en qualifies when its range lies in the set and every
     earlier vertex (source included) lies outside. Results are sorted
-    shortlex; lengths run up to max_length. Raises GraphError, before
+    shortlex; lengths run up to max_length, an int (a bool is not one),
+    so a bound below 1 gives none. Raises GraphError, before
     building the layer that would do it, when there are more than
     MAX_ENTRY_PATHS of them.
 
@@ -794,7 +814,7 @@ def entry_paths(graph: Graph, subset: Iterable[str], max_length: int) -> list[Pa
     the previous layer was shortlex too.
     """
     h = _vertex_set(graph, subset)
-    if max_length < 1:
+    if _integer(max_length, "maximum entry path length") < 1:
         return []
     entering = _entering(graph, h)
     _check_entry_count(len(entering), 1)
@@ -899,13 +919,15 @@ def hedgehog_graph(
     """Attach a spine vertex and edge for each path entering a hereditary set.
 
     The spines are the entry paths up to the depth bound (vertex count + 1
-    when omitted, else a nonnegative int). As the set is hereditary, an
-    entry path is a path ending at the source of an edge into it plus that
-    edge, so the path counts at those sources add up to their number,
-    finite exactly when no blocking cycle reaches the set. That cycle is
-    sought among the vertices a backward search from those sources finds,
-    which heredity keeps outside the set. The result is complete when the
-    spines reach that number. More than MAX_ENTRY_PATHS spines raise
+    when omitted, else a nonnegative int). The result is complete when no
+    entry path is longer than the bound. Every suffix of an entry path is
+    one too, so that holds exactly when no edge enters the source of a
+    spine of the bound's length, or at bound 0 no edge enters the set; the
+    longest spines come last, so they are read backwards until one has an
+    in-edge. A blocking cycle, outside the set and reaching it, gives entry
+    paths of every length. It is sought among the vertices a backward
+    search from the sources of the edges into the set finds, which heredity
+    keeps outside the set. More than MAX_ENTRY_PATHS spines raise
     GraphError, as in entry_paths.
 
     All of it starts from the edges entering the set. When the set is every
@@ -922,14 +944,15 @@ def hedgehog_graph(
         raise SubsetError("subset is not hereditary")
     depth_bound = _depth_bound(graph, depth_bound)
 
-    counts = _path_counts(graph)
     entering = _entering(graph, h)
     blocking = None
     if entering:
-        reaching = _reaching(graph, {e.source for e in entering})
-        blocking = _first_cycle(graph, {v for v in reaching if counts[v] is None})
+        blocking = _first_cycle(graph, _reaching(graph, {e.source for e in entering}))
     spines = entry_paths(graph, h, depth_bound)
-    complete = blocking is None and len(spines) == sum(counts[e.source] for e in entering)
+    # A spine's source lies outside the hereditary set, so every edge into
+    # it comes from outside; the backward search has built the in-edges.
+    longest = takewhile(lambda p: len(p) == depth_bound, reversed(spines))
+    complete = not (any(graph._in[p.source] for p in longest) if depth_bound else entering)
 
     if len(ideal) == len(graph.vertices):
         assembled = graph
@@ -972,7 +995,9 @@ def _path_layers(graph: Graph, source: str) -> Iterator[list[Path]]:
 
 def paths_from_by_length(graph: Graph, source: str, max_length: int) -> list[list[Path]]:
     """Layered path enumeration: layer l holds all paths of length l from
-    the source, in lexicographic order by edge declaration."""
+    the source, in lexicographic order by edge declaration. max_length is
+    an int (a bool is not one); below 0 it keeps the trivial layer only."""
+    max_length = _integer(max_length, "maximum path length")
     return list(islice(_path_layers(graph, source), max(max_length, 0) + 1))
 
 

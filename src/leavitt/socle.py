@@ -183,8 +183,9 @@ def socle_structure(graph: Graph, depth_bound: int | None = None) -> SocleReport
     depth_bound = _depth_bound(graph, depth_bound)
     h = socle_generators(graph)
     hedgehog = hedgehog_graph(graph, h, depth_bound) if h else None
-    # H is the closure of the sinks, so every sink lies in H.
-    sizes = list(map(_path_counts(graph).__getitem__, graph.sinks()))
+    # The search keeps the count at each sink, in declaration order. H is
+    # the closure of the sinks, so every sink lies in H.
+    sizes = list(_path_counts(graph).values())
     summands = tuple(sorted(n for n in sizes if n is not None)) + (None,) * sizes.count(None)
     return SocleReport(
         line_points=line_points(graph),

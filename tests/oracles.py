@@ -7,10 +7,12 @@ fixpoint, taken of the line points for the socle's generators and once per
 vertex for simplicity, paths are listed from every vertex, normalization
 scans its live redexes on every step, sums merge their terms in a dict and
 sort them again, the defining relations are checked with every generator
-built afresh at each use, reduction multiplies by every vertex to find
-where an element starts, membership in a sum of left ideals multiplies
-by the vertex sum, and membership in the socle builds the quotient by the
-closure of the line points and normalizes the whole image there.
+built afresh at each use, the hedgehog is checked as an embedding by
+mapping its generators into L(E) one by one and multiplying out the
+images, reduction multiplies by every vertex to find where an element
+starts, membership in a sum of left ideals multiplies by the vertex sum,
+and membership in the socle builds the quotient by the closure of the
+line points and normalizes the whole image there.
 They are exponential or polynomial of high degree, so tests run them on
 small inputs only.
 """
@@ -31,6 +33,7 @@ from leavitt.graphs import (
     CyclicGraphError,
     Edge,
     Graph,
+    GraphError,
     HedgehogGraph,
     Path,
     SubsetError,
@@ -258,6 +261,116 @@ def hedgehog_graph(
     )
 
 
+def hedgehog_images(
+    hedgehog: HedgehogGraph, algebra: LeavittAlgebra
+) -> tuple[dict[str, Element], dict[str, Element], dict[str, Element]]:
+    """The map of the hedgehog's Leavitt path algebra into the algebra of
+    the graph E it grew from, as the images of the hedgehog's vertices,
+    edges and ghost edges, keyed by name. A vertex or edge of the set goes
+    to itself; the spine vertex of an entry path a goes to a a*, its spine
+    edge @a to a, and the ghost of @a to a*. A spine's path is read back
+    from its vertex's dotted name, not from its edge's range, so the edge
+    names of E must hold no dot.
+
+    For H hereditary this is a homomorphism onto the ideal of H (Abrams,
+    Aranda Pino, Perera and Siles Molina, Chain conditions for Leavitt path
+    algebras, Forum Math. 2010): two distinct entry paths are never prefixes of each
+    other, so the spine vertices go to orthogonal idempotents."""
+    g = algebra.graph
+    spines = {}
+    for name in hedgehog.entry_part:
+        edges = name.split(".")
+        spines[name] = g.path(g.edge(edges[0]).source, edges)
+    vertex, edge, ghost = {}, {}, {}
+    for v in hedgehog.graph.vertices:
+        a = spines.get(v)
+        vertex[v] = algebra.vertex(v) if a is None else algebra.monomial(a, a)
+    for e in hedgehog.graph.edges:
+        a = spines.get(e.source)
+        if a is None:
+            edge[e.name], ghost[e.name] = algebra.edge(e.name), algebra.ghost(e.name)
+        else:
+            edge[e.name], ghost[e.name] = algebra.path_element(a), algebra.path_star_element(a)
+    return vertex, edge, ghost
+
+
+def hedgehog_preimage(
+    hedgehog: HedgehogGraph, graph: Graph, real: Path, ghost: Path
+) -> tuple[Path, Path] | None:
+    """The paths p', q' of the hedgehog's graph whose monomial p' q'*
+    hedgehog_images sends to p q*, for paths p, q of E with a common range
+    in the set; None when a spine they need is missing. Each of p and q is
+    cut at its first vertex in the set: the part before it is an entry path
+    a, read as the spine edge @a, and the rest lies in the set."""
+    h = set(hedgehog.ideal_part)
+    lifted = []
+    for p in (real, ghost):
+        cut = next(i for i, v in enumerate(graph.path_vertices(p)) if v in h)
+        name = ".".join(p.edges[:cut])
+        source, edges = (name, ("@" + name,)) if cut else (p.source, ())
+        try:
+            lifted.append(hedgehog.graph.path(source, edges + p.edges[cut:]))
+        except GraphError:
+            return None
+    return lifted[0], lifted[1]
+
+
+def hedgehog_failures(
+    hedgehog: HedgehogGraph, algebra: LeavittAlgebra, max_length: int = 3
+) -> list[str]:
+    """What keeps hedgehog_images from being an embedding of the hedgehog's
+    algebra onto the ideal of the set in the algebra of E, as far as small
+    elements show: the relations (1)-(4) of the hedgehog that fail on the
+    images, the hedgehog's vertices sent to zero, and, when the hedgehog is
+    complete, the normal-form monomials p q* of E with range in the set
+    and |p| + |q| at most max_length that are not the image of a monomial
+    of the hedgehog. For an acyclic hedgehog, as the socle's is, nonzero
+    images of its vertices make the map injective, by the Cuntz-Krieger
+    uniqueness theorem (Tomforde, J. Algebra 2007)."""
+    vertex, edge, ghost = images = hedgehog_images(hedgehog, algebra)
+    report = relations_on(
+        hedgehog.graph, algebra.zero(), vertex.__getitem__, edge.__getitem__,
+        ghost.__getitem__,
+    )
+    failures = list(report.failures)
+    failures += ["zero image: %s" % v for v, x in vertex.items() if x.is_zero]
+    if not hedgehog.complete:
+        return failures
+    g = algebra.graph
+    h = set(hedgehog.ideal_part)
+    ending: dict[str, list[Path]] = {}
+    for v in g.vertices:
+        for layer in paths_from_by_length(g, v, max_length):
+            for p in layer:
+                if p.range in h:
+                    ending.setdefault(p.range, []).append(p)
+    special = {g.out_edges(v)[0].name for v in g.vertices if not g.is_sink(v)}
+    for paths in ending.values():
+        for p in paths:
+            for q in paths:
+                tail = p.edges[-1:]
+                reducible = tail and tail == q.edges[-1:] and tail[0] in special
+                if reducible or len(p) + len(q) > max_length:
+                    continue
+                lifted = hedgehog_preimage(hedgehog, g, p, q)
+                if lifted is None or _image(images, *lifted) != algebra.monomial(p, q):
+                    failures.append("no preimage: %s" % Monomial(p, q).text())
+    return failures
+
+
+def _image(images, real: Path, ghost: Path) -> Element:
+    """The image of the hedgehog's monomial p q*: the image of the source
+    of p times those of the edges of p, then of the ghosts of q's edges in
+    reverse."""
+    vertex, edge, ghost_of = images
+    x = vertex[real.source]
+    for name in real.edges:
+        x = x * edge[name]
+    for name in reversed(ghost.edges):
+        x = x * ghost_of[name]
+    return x
+
+
 def condition_L(graph: Graph) -> bool:
     """Every simple cycle has an exit: a vertex of out-degree two or more."""
     return all(
@@ -417,6 +530,14 @@ def add(x: Element, y: Element) -> Element:
 def check_relations(algebra: LeavittAlgebra) -> RelationsReport:
     """The defining relations rechecked as they are written, each vertex,
     edge and ghost element built afresh at every use."""
+    return relations_on(
+        algebra.graph, algebra.zero(), algebra.vertex, algebra.edge, algebra.ghost
+    )
+
+
+def relations_on(graph: Graph, zero: Element, vertex, edge, ghost) -> RelationsReport:
+    """Relations (1)-(4) of the graph, checked on the elements that vertex,
+    edge and ghost send its names to, called at every use."""
     counts: dict[str, int] = {}
     failures: list[str] = []
 
@@ -425,43 +546,41 @@ def check_relations(algebra: LeavittAlgebra) -> RelationsReport:
         if not ok:
             failures.append("%s: %s" % (label, detail))
 
-    a = algebra
-    g = a.graph
-    for v in g.vertices:
-        for w in g.vertices:
-            expect = a.vertex(v) if v == w else a.zero()
+    for v in graph.vertices:
+        for w in graph.vertices:
+            expect = vertex(v) if v == w else zero
             note(
                 "vertex-idempotents",
-                a.vertex(v) * a.vertex(w) == expect,
+                vertex(v) * vertex(w) == expect,
                 "%s %s" % (v, w),
             )
-    for e in g.edges:
+    for e in graph.edges:
         note(
             "source-range",
-            a.vertex(e.source) * a.edge(e.name) == a.edge(e.name)
-            and a.edge(e.name) * a.vertex(e.range) == a.edge(e.name),
+            vertex(e.source) * edge(e.name) == edge(e.name)
+            and edge(e.name) * vertex(e.range) == edge(e.name),
             e.name,
         )
         note(
             "ghost-source-range",
-            a.vertex(e.range) * a.ghost(e.name) == a.ghost(e.name)
-            and a.ghost(e.name) * a.vertex(e.source) == a.ghost(e.name),
+            vertex(e.range) * ghost(e.name) == ghost(e.name)
+            and ghost(e.name) * vertex(e.source) == ghost(e.name),
             e.name,
         )
-        for f in g.edges:
-            expect = a.vertex(e.range) if f.name == e.name else a.zero()
+        for f in graph.edges:
+            expect = vertex(e.range) if f.name == e.name else zero
             note(
                 "ghost-pairing",
-                a.ghost(e.name) * a.edge(f.name) == expect,
+                ghost(e.name) * edge(f.name) == expect,
                 "%s %s" % (e.name, f.name),
             )
-    for v in g.vertices:
-        if g.is_sink(v):
+    for v in graph.vertices:
+        if graph.is_sink(v):
             continue
-        total = a.zero()
-        for e in g.out_edges(v):
-            total = total + a.edge(e.name) * a.ghost(e.name)
-        note("vertex-expansion", total == a.vertex(v), v)
+        total = zero
+        for e in graph.out_edges(v):
+            total = total + edge(e.name) * ghost(e.name)
+        note("vertex-expansion", total == vertex(v), v)
     return RelationsReport(
         counts=tuple(sorted(counts.items())),
         failures=tuple(failures),

@@ -115,6 +115,25 @@ def test_only_three_builders_skip_the_graph_checks():
     }
 
 
+def test_only_the_summands_read_the_path_counts():
+    """The one search of the cycles keeps a path count per sink, and only
+    socle_structure reads them, for the socle's summands: the hedgehog
+    reads no count, neither through _path_counts nor from the kept search."""
+    package = Path(leavitt.__file__).parent
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(package.glob("*.py"))}
+    users = {
+        (module, where)
+        for module, tree in trees.items()
+        for where in _enclosing_functions(tree, "_path_counts")
+    }
+    assert users == {("socle.py", "socle_structure")}
+    # None is the field's declaration in the kept search's class body.
+    assert set(_enclosing_functions(trees["graphs.py"], "counts")) == {
+        None, "_cycles", "_path_counts",
+    }
+
+
 def test_only_normal_form_steps_checks_elements():
     """Elements are checked once, where they enter: the monomial check is
     read only by LeavittAlgebra.normal_form_steps, and the normalizer it

@@ -5,11 +5,13 @@ import tracemalloc
 import pytest
 
 from leavitt import (
+    AlgebraError,
     CycleError,
     Edge,
     Graph,
     GraphError,
     GraphParseError,
+    Monomial,
     Path,
     SubsetError,
     UnknownVertexError,
@@ -736,6 +738,7 @@ def test_sweeps_match_the_oracles():
         ) == oracles.hereditary_saturated_closure(g, seeds)
         on = vertices_on_cycles(g)
         counts = _path_counts(g)
+        assert tuple(counts) == g.sinks()
         for w in g.sinks():
             assert counts[w] == oracles.paths_ending_at(g, w, on)
         h = hereditary_saturated_closure(g, line_points(g))
@@ -804,6 +807,32 @@ def test_unknown_vertex_messages(graphs):
     ):
         with pytest.raises(UnknownVertexError, match=r"^unknown vertex 'zz'$"):
             query("zz")
+
+
+def test_argument_type_messages(algebras):
+    """A length bound is an int, as the hedgehog's depth bound is (a bool is
+    not one), edge names are iterable, and an outside term is a
+    (coefficient, monomial) pair; anything else raises the library's own
+    error, naming it. A negative length bound gives what it always gave."""
+    W = algebras["W"]
+    g = W.graph
+    for bad in (None, "2", 2.5, 2.0, True):
+        for query, what in (
+            (lambda n: entry_paths(g, {"v"}, n), "maximum entry path length"),
+            (lambda n: paths_from_by_length(g, "z", n), "maximum path length"),
+        ):
+            message = "%s %r is not an integer" % (what, bad)
+            with pytest.raises(GraphError, match="^%s$" % re.escape(message)):
+                query(bad)
+    assert entry_paths(g, {"v"}, -1) == []
+    assert paths_from_by_length(g, "z", -1) == [[g.trivial_path("z")]]
+    with pytest.raises(GraphError, match=r"^edge names 5 are not iterable$"):
+        g.path("z", 5)
+    v = Monomial(g.trivial_path("v"), g.trivial_path("v"))
+    for term in ((1, 5), 5, (1, v, 2)):
+        message = "term %r is not a (coefficient, monomial) pair" % (term,)
+        with pytest.raises(AlgebraError, match="^%s$" % re.escape(message)):
+            W.normal_form([term])
 
 
 def test_vertex_set_messages(graphs):

@@ -5,13 +5,14 @@ inputs it draws and mutates. Runs are derandomized and keep no example
 database, so every run checks the same inputs."""
 
 import copy
+import dataclasses
 import pickle
 import random
 from dataclasses import make_dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from leavitt import (
     QQ,
@@ -23,8 +24,10 @@ from leavitt import (
     Path,
     PrimeField,
     entry_paths,
+    hedgehog_graph,
     in_socle,
     is_simple,
+    matrix_rep,
     parse_element,
     paths_from_by_length,
     quotient_graph,
@@ -35,19 +38,19 @@ from leavitt import (
     tree,
 )
 from leavitt.graphs import _first_cycle
-from leavitt.sampling import random_element, random_raw_terms
+from leavitt.sampling import random_element, random_nonzero_element, random_raw_terms
 
 import oracles
 from golden.make import graph_text, run
 
 
 @st.composite
-def graphs(draw, max_vertices=6):
-    """One to max_vertices vertices in any declaration order and up to ten
-    edges, loops and parallel edges included."""
+def graphs(draw, max_vertices=6, max_edges=10):
+    """One to max_vertices vertices in any declaration order and up to
+    max_edges edges, loops and parallel edges included."""
     names = ["v%d" % i for i in range(draw(st.integers(1, max_vertices)))]
     ends = draw(
-        st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=10)
+        st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=max_edges)
     )
     edges = [Edge("e%d" % i, s, r) for i, (s, r) in enumerate(ends)]
     return Graph(draw(st.permutations(names)), edges)
@@ -151,6 +154,100 @@ def test_acyclic_socle_summands_count_the_normal_forms(g):
     report = socle_structure(g)
     assert report.socle_is_whole and report.hedgehog.graph is g
     assert sum(n * n for n in report.summands) == normal
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_acyclic_graphs(max_vertices=6), st.randoms(use_true_random=False))
+def test_matrix_rep_is_an_isomorphism_on_acyclic_graphs(g, rng):
+    """Local matriciality (Abrams, Aranda Pino and Siles Molina,
+    Finite-dimensional Leavitt path algebras, JPAA 2007): on an acyclic
+    graph the block-matrix map is an isomorphism onto the sum of the
+    M_n(w)(K) over the sinks w, so it is additive and multiplicative and
+    nonzero on nonzero elements. Its blocks are sized by an enumeration of
+    the paths into each sink, independent of the search's kept counts,
+    which the summands read."""
+    algebra = LeavittAlgebra(g)
+    x, y = random_element(rng, algebra), random_element(rng, algebra)
+    rx, ry = matrix_rep(x), matrix_rep(y)
+    assert matrix_rep(x + y) == rx + ry
+    assert matrix_rep(x * y) == rx * ry
+    assert rx.is_zero == x.is_zero
+    assert not matrix_rep(random_nonzero_element(rng, algebra)).is_zero
+    assert tuple(sorted(rx.sizes)) == socle_structure(g).summands
+
+
+# ----------------------------------------------------------------------
+# the hedgehog as an embedding into L(E)
+# ----------------------------------------------------------------------
+
+@st.composite
+def _hedgehogs(draw):
+    """The algebra of a drawn graph on at most four vertices and six edges
+    plus a sink s fed from some of them, and the hedgehog of a hereditary
+    set in it (the socle's generators, or the tree of a vertex) at a depth
+    bound from 0 to 3 or the default, with at most 30 vertices."""
+    g = draw(graphs(max_vertices=4, max_edges=6))
+    fed = draw(st.lists(st.sampled_from(g.vertices), min_size=1, max_size=2))
+    g = Graph(
+        draw(st.permutations(g.vertices + ("s",))),
+        list(g.edges) + [Edge("d%d" % i, v, "s") for i, v in enumerate(fed)],
+    )
+    if draw(st.booleans()):
+        h = socle_generators(g)
+    else:
+        h = tree(g, draw(st.sampled_from(g.vertices)))
+    hh = hedgehog_graph(g, h, draw(st.sampled_from((0, 1, 2, 3, None))))
+    assume(len(hh.graph.vertices) <= 30)
+    return LeavittAlgebra(g), hh
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_hedgehogs())
+def test_the_hedgehog_embeds_onto_the_ideal_of_its_set(drawn):
+    """The images of the hedgehog's generators in L(E) satisfy its
+    relations, no vertex goes to zero, and a complete hedgehog reaches
+    every small normal-form monomial ending in the set (see
+    oracles.hedgehog_failures)."""
+    algebra, hh = drawn
+    assert oracles.hedgehog_failures(hh, algebra) == []
+
+
+def _spined():
+    """a -> b -> s and a -> s, with s -> t: the set {s, t} has the entry
+    paths f, g and e g, and its hedgehog is complete."""
+    g = Graph(["a", "b", "s", "t"], [
+        Edge("e", "a", "b"), Edge("f", "a", "s"), Edge("g", "b", "s"), Edge("h", "s", "t"),
+    ])
+    hh = hedgehog_graph(g, {"s", "t"})
+    assert hh.complete and hh.entry_part == ("f", "g", "e.g")
+    algebra = LeavittAlgebra(g)
+    assert oracles.hedgehog_failures(hh, algebra) == []
+    return algebra, hh
+
+
+def test_the_embedding_check_sees_a_spine_edge_with_the_wrong_range():
+    algebra, hh = _spined()
+    F = hh.graph
+    edges = [e._replace(range="t") if e.name == "@g" else e for e in F.edges]
+    bent = dataclasses.replace(hh, graph=Graph(F.vertices, edges))
+    failures = oracles.hedgehog_failures(bent, algebra)
+    assert "source-range: @g" in failures and "ghost-pairing: @g @g" in failures
+
+
+def test_the_embedding_check_sees_a_dropped_spine():
+    """Without the spine of e g the map is still a homomorphism, nonzero on
+    every vertex, but e g is no image any more."""
+    algebra, hh = _spined()
+    F = hh.graph
+    dropped = dataclasses.replace(
+        hh,
+        graph=Graph([v for v in F.vertices if v != "e.g"],
+                    [e for e in F.edges if e.source != "e.g"]),
+        entry_part=("f", "g"),
+    )
+    failures = oracles.hedgehog_failures(dropped, algebra)
+    assert "no preimage: e g" in failures
+    assert all(f.startswith("no preimage: ") for f in failures)
 
 
 # ----------------------------------------------------------------------

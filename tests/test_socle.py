@@ -353,8 +353,8 @@ def test_library_graphs_are_checked_once(monkeypatch, algebras):
 
 
 def test_structure_sweeps_the_path_counts_once_per_graph(monkeypatch):
-    """socle_structure reads the path counts for its summands and inside
-    hedgehog_graph; a graph computes them once. A sweep is a call that
+    """socle_structure reads the path counts for its summands, and nothing
+    else reads them; a graph computes them once. A sweep is a call that
     hands back counts no earlier call handed back. Likewise the one search
     of the graph's cycles, behind the counts and every other cycle query,
     runs once per graph."""
