@@ -25,9 +25,14 @@ tuples, so they hash and compare in C; a monomial stores nothing but its
 two paths. A vertex, edge, ghost, path or ghost path has a trivial part,
 so it is never a redex and is built as its own normal form; only
 combinations of monomials are normalized. Input is checked once, where it
-enters: normal_form_steps walks each outside monomial's edges through the
-graph, which builds no paths, and coerces its coefficient; a projection
-p p* walks its path once. Sums, products, the involution and quotient
+enters, in one pass over its terms: normal_form_steps walks each outside
+monomial's edges through the graph, which builds no paths, and coerces its
+coefficient, each distinct int once; a projection p p* walks its path once.
+Errors come in term order: the first bad term raises what the per-term
+checks (_term, _check_monomial, the field's coerce) raise for it. Only the
+shorter piece of a rewrite can be a redex, so the other pieces take no
+redex test, and a projection rewrites into projections whose two parts
+are one path. Sums, products, the involution and quotient
 images trust the normal forms they start from. Operations on elements of
 one algebra never compare graphs, so graph size does not enter their
 cost. An algebra keeps no per-graph data of its own, so building one is
@@ -210,12 +215,56 @@ class LeavittAlgebra:
         pairs: Iterable[tuple[object, Monomial]],
         max_steps: int = DEFAULT_STEP_LIMIT,
     ) -> tuple["Element", int]:
-        # The one entry that checks: each term's shape, its monomial, then
-        # its coefficient.
-        check, coerce = self._check_monomial, self.field.coerce
-        terms, steps = self._normalize(
-            ((check(m), coerce(c)) for c, m in map(_term, pairs)), max_steps
-        )
+        # The one entry that checks, in one pass over the terms: each term's
+        # shape; its monomial's shared range, its real path and, when it is
+        # another path, its ghost, walked through the graph; then its
+        # coefficient, each distinct int coerced once. A term that fails the
+        # inline check goes through _term and _check_monomial, which raise
+        # its error, so the first bad term is reported as they report it. An
+        # exception raised inside the inline check (a name that cannot be
+        # hashed, edges that cannot be iterated) comes from an operation
+        # that they make too.
+        g = self.graph
+        edges, eindex, vindex = g.edges, g._eindex, g._vindex
+        coerce, coerced = self.field.coerce, {}
+        checked = []
+        for term in pairs:
+            try:
+                c, m = term
+            except (TypeError, ValueError):
+                m = None
+            ok = False
+            if type(m) is Monomial:
+                real, ghost = m
+                if type(real) is Path is type(ghost) and real[2] == ghost[2]:
+                    try:
+                        for at, names, end in (real,) if ghost == real else m:
+                            if at not in vindex:
+                                break
+                            for name in names:
+                                e = edges[eindex[name]]
+                                if e[1] != at:
+                                    break
+                                at = e[2]
+                            else:
+                                if at == end:
+                                    continue  # the path walks to its range
+                            break
+                        else:
+                            ok = True
+                    except KeyError:  # an unknown edge
+                        pass
+            if not ok:
+                c, m = _term(term)
+                self._check_monomial(m)
+            if type(c) is int:
+                x = coerced.get(c)
+                if x is None:
+                    x = coerced[c] = coerce(c)
+            else:
+                x = coerce(c)
+            checked.append((m, x))
+        terms, steps = self._normalize(checked, max_steps)
         return Element(self, terms), steps
 
     # ------------------------------------------------------------------
@@ -272,20 +321,20 @@ class LeavittAlgebra:
         v = g.edges[g._eindex[gname]].source
         rsrc, redges = real.source, real.edges[:-1]
         gsrc, gedges = ghost.source, ghost.edges[:-1]
+        # A projection p p* rewrites into projections, each of one path.
+        shared = real is ghost
         # The pieces chain by construction, so they skip the checking
         # constructors.
         new = tuple.__new__
-        shorter = (new(Path, (rsrc, redges, v)), new(Path, (gsrc, gedges, v)))
-        out = [(1, new(Monomial, shorter))]
+        p = new(Path, (rsrc, redges, v))
+        out = [(1, new(Monomial, (p, p if shared else new(Path, (gsrc, gedges, v)))))]
         for e in g._out[v]:
             if e.name == gname:
                 continue
             tail = (e.name,)
-            parts = (
-                new(Path, (rsrc, redges + tail, e.range)),
-                new(Path, (gsrc, gedges + tail, e.range)),
-            )
-            out.append((-1, new(Monomial, parts)))
+            p = new(Path, (rsrc, redges + tail, e.range))
+            q = p if shared else new(Path, (gsrc, gedges + tail, e.range))
+            out.append((-1, new(Monomial, (p, q))))
         return out
 
     def _normalize(self, terms, max_steps=DEFAULT_STEP_LIMIT):
@@ -299,31 +348,42 @@ class LeavittAlgebra:
         none of its redexes comes back: each is rewritten once, with its
         whole coefficient, and an entry that has since cancelled is skipped.
         The steps are at most the sum of min(|p|, |q|) over the terms p q*.
+
+        Only the first, shorter piece of a rewrite can be a redex, so only
+        the input terms and the first pieces take the redex test. The first
+        pieces of one length's rewrites wait until that length is done, as
+        nothing of their length is read before, and are then taken in like
+        the input.
         """
         live: dict[Monomial, object] = {}
+        get = live.get
         buckets: dict[int, list[Monomial]] = {}
         g = self.graph
         edges, eindex, out = g.edges, g._eindex, g._out
-
-        def acc(m: Monomial, c) -> None:
-            cur = live.get(m)
-            total = c if cur is None else cur + c
-            if total:
-                live[m] = total
-                if cur is None:
-                    # _is_reducible, inlined: this runs for every new term.
+        rewrite = self._rewrite
+        steps = 0
+        fresh = terms
+        while True:
+            for m, c in fresh:
+                cur = get(m)
+                if cur is not None:
+                    total = cur + c
+                    if total:
+                        live[m] = total
+                    else:
+                        del live[m]
+                elif c:
+                    live[m] = c
+                    # _is_reducible, inlined: this runs for every new input
+                    # term and first piece.
                     r, q = m[0][1], m[1][1]
                     if r and q:
                         last = r[-1]
-                        if last == q[-1] and out[edges[eindex[last]].source][0].name == last:
+                        if last == q[-1] and out[edges[eindex[last]][1]][0][0] == last:
                             buckets.setdefault(len(r) + len(q), []).append(m)
-            elif cur is not None:
-                del live[m]
-
-        for m, c in terms:
-            acc(m, c)
-        steps = 0
-        while buckets:
+            if not buckets:
+                break
+            fresh = []
             for m in buckets.pop(max(buckets)):
                 # Only redexes are bucketed, so a live entry is a live redex.
                 c = live.pop(m, None)
@@ -331,10 +391,25 @@ class LeavittAlgebra:
                     continue
                 if steps >= max_steps:
                     raise AlgebraError("normalization exceeded %d steps" % max_steps)
-                neg = -c
-                for sign, piece in self._rewrite(m):
-                    acc(piece, c if sign > 0 else neg)
                 steps += 1
+                pieces = rewrite(m)
+                if not pieces:
+                    continue
+                neg = -c
+                sign, piece = pieces[0]
+                fresh.append((piece, c if sign > 0 else neg))
+                # The other pieces end in an edge that is not special: no
+                # redex, and a new one enters with a nonzero coefficient.
+                for sign, piece in pieces[1:]:
+                    cur = get(piece)
+                    if cur is None:
+                        live[piece] = c if sign > 0 else neg
+                    else:
+                        total = cur + (c if sign > 0 else neg)
+                        if total:
+                            live[piece] = total
+                        else:
+                            del live[piece]
         key = self._mono_key
         ordered = tuple(sorted(live.items(), key=lambda kv: key(kv[0])))
         return ordered, steps

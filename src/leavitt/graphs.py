@@ -634,18 +634,22 @@ def hereditary_saturated_closure(graph: Graph, subset: Iterable[str]) -> frozens
     """The least hereditary and saturated superset.
 
     A worklist: each vertex that joins pulls in its ranges, and a vertex
-    joins once none of its out-edges leaves the set any more.
+    joins once none of its out-edges leaves the set any more. A vertex's
+    count of edges still leaving is made when an edge of it first enters
+    the set, so the work is that of the set and the edges at it.
     """
     h = set(_vertex_set(graph, subset))
     out, inn = graph._out, graph._in_map()
-    leaving = {v: len(es) for v, es in out.items()}
+    leaving: dict[str, int] = {}
     joined = list(h)
     for v in joined:
         joining = [e.range for e in out[v]]
         for e in inn[v]:
-            leaving[e.source] -= 1
-            if not leaving[e.source]:
-                joining.append(e.source)
+            s = e.source
+            n = leaving.get(s, len(out[s])) - 1
+            leaving[s] = n
+            if not n:
+                joining.append(s)
         for u in joining:
             if u not in h:
                 h.add(u)

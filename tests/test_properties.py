@@ -37,6 +37,7 @@ from leavitt import (
     socle_structure,
     tree,
 )
+from leavitt.algebra import _term
 from leavitt.graphs import _first_cycle
 from leavitt.sampling import random_element, random_nonzero_element, random_raw_terms
 
@@ -452,6 +453,76 @@ def test_mixed_scalars_and_twin_paths_normalize_alike(drawn, data):
     assert mixed_steps == twin_steps == steps
     for w in (y, z, scrambled):
         assert w == x and hash(w) == hash(x) and str(w) == str(x)
+
+
+def _bad_term(draw, g: Graph) -> object:
+    """A term that the entry check refuses, or one at its edge that it lets
+    through: a bad path on either side of a monomial, a monomial whose parts
+    skip the constructor, a term of another shape, or a bad coefficient."""
+    p = draw(_paths(g))
+    u = draw(st.sampled_from(g.vertices))
+    paths = {
+        "unknown edge": Path(p.source, p.edges + ("zz",), p.range),
+        "broken chain": Path(u, p.edges, p.range),
+        "wrong range": Path(p.source, p.edges, u),
+        "unknown source": Path("zz", p.edges, p.range),
+        "good": p,
+    }
+    kind = draw(st.sampled_from(sorted(paths) + [
+        "twin ghost", "unmatched ranges", "no paths", "not a pair", "not a monomial",
+        "coefficient", "list pair",
+    ]))
+    if kind in paths:
+        bad = paths[kind]
+        t = Path(bad.range, (), bad.range)
+        return (1, Monomial(bad, t) if draw(st.booleans()) else Monomial(t, bad))
+    if kind == "twin ghost":
+        bad = draw(st.sampled_from(sorted(set(paths.values()))))
+        return (2, Monomial(bad, _twin_path(bad)))
+    if kind == "unmatched ranges":
+        return (1, Monomial._make((p, Path(u, (), u))))
+    if kind == "no paths":
+        return (1, Monomial._make((p.source, p.source)))
+    m = Monomial(p, p)
+    if kind == "not a pair":
+        return draw(st.sampled_from((5, None, "ab", (1,), (1, m, 2), m)))
+    if kind == "not a monomial":
+        return (1, draw(st.sampled_from((tuple(m), p, p.source, None))))
+    if kind == "coefficient":
+        c = draw(st.sampled_from((1.5, True, GFElement(1, 7), Fraction(1, 2), "1", None)))
+        return (c, m)
+    return [3, m]
+
+
+def _per_term(algebra: LeavittAlgebra, pairs) -> object:
+    """The answer of the per-term entry: each term through _term, then the
+    oracle's monomial check and coerce, in term order; for a refused input,
+    the class and message of its error."""
+    try:
+        return oracles.normal_form_steps(algebra, map(_term, pairs), max)
+    except Exception as error:
+        return type(error), str(error)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.data())
+def test_the_entry_check_refuses_as_the_per_term_check(data):
+    """Raw terms over Q or GF(5) with one or two bad terms at drawn places:
+    normal_form_steps gives the per-term entry's answer, or raises its error
+    with the same class and message, for the first bad term in term order."""
+    g = data.draw(graphs(max_vertices=4, max_edges=6))
+    algebra = LeavittAlgebra(g, data.draw(st.sampled_from((QQ, PrimeField(5)))))
+    pairs = [
+        (data.draw(st.integers(-3, 3)), data.draw(_monomials(g)))
+        for _ in range(data.draw(st.integers(0, 4)))
+    ]
+    for _ in range(data.draw(st.integers(1, 2))):
+        pairs.insert(data.draw(st.integers(0, len(pairs))), _bad_term(data.draw, g))
+    try:
+        got = algebra.normal_form_steps(pairs)
+    except Exception as error:
+        got = type(error), str(error)
+    assert got == _per_term(algebra, pairs)
 
 
 # ----------------------------------------------------------------------

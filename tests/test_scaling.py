@@ -67,8 +67,15 @@ def opcodes(fn) -> int:
 def calls(name: str, fn) -> int:
     """The number of calls of the leavitt.graphs function of that name made
     by calling fn, counted in every loaded module that binds the name to it,
-    and restored there afterwards."""
-    original = getattr(leavitt.graphs, name)
+    and restored there afterwards; a name "Class.method" counts the method
+    of that leavitt.graphs class, replaced on the class."""
+    owner, _, name = name.rpartition(".")
+    if owner:
+        bound = [getattr(leavitt.graphs, owner)]
+        original = vars(bound[0])[name]
+    else:
+        original = getattr(leavitt.graphs, name)
+        bound = [m for m in list(sys.modules.values()) if vars(m).get(name) is original]
     count = 0
 
     def counting(*args, **kwargs):
@@ -76,14 +83,13 @@ def calls(name: str, fn) -> int:
         count += 1
         return original(*args, **kwargs)
 
-    bound = [m for m in list(sys.modules.values()) if vars(m).get(name) is original]
-    for module in bound:
-        setattr(module, name, counting)
+    for holder in bound:
+        setattr(holder, name, counting)
     try:
         fn()
     finally:
-        for module in bound:
-            setattr(module, name, original)
+        for holder in bound:
+            setattr(holder, name, original)
     return count
 
 
@@ -235,10 +241,10 @@ def test_element_operations_check_no_vertex_sets(name):
     assert calls("_vertex_set", lambda: ELEMENT_OPERATIONS[name](x, z, w)) == 0
 
 
-def test_in_socle_on_an_acyclic_graph_reads_the_kept_counts():
-    """Once the graph keeps its path counts, which the first call fills,
-    in_socle on an acyclic graph neither computes H nor depends on the
-    graph's size."""
+def test_in_socle_on_an_acyclic_graph_reads_the_kept_h():
+    """Once the graph keeps its H, which the first call's search of the
+    cycles fills, in_socle on an acyclic graph neither computes H again nor
+    depends on the graph's size."""
     counts = []
     for n in SIZES:
         x = parse_element(LeavittAlgebra(line_graph(n)), "e1 e2 e2^* + 2 v1")
@@ -255,6 +261,20 @@ def with_corner(g: Graph) -> Graph:
     vertices = g.vertices + ("cv", "cs", "cu")
     corner = (Edge("ce", "cv", "cs"), Edge("cf", "cv", "cu"), Edge("cg", "cu", "cu"))
     return Graph(vertices, g.edges + corner)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+def test_the_closure_of_a_fixed_set_does_not_depend_on_graph_size(family):
+    """Once the graph has its in-edges, the closure of the corner's sink and
+    looped vertex, which pulls in the corner's source, costs the same beside
+    a part that grows: it counts the edges still leaving a vertex only at
+    the vertices it reaches."""
+    counts = []
+    for n in SIZES:
+        g = with_corner(family(n))
+        assert hereditary_saturated_closure(g, ("cs", "cu")) == {"cs", "cu", "cv"}
+        counts.append(opcodes(partial(hereditary_saturated_closure, g, ("cs", "cu"))))
+    assert max(_ratios(counts)) <= 1.05, counts
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
@@ -335,6 +355,17 @@ def test_normalization_costs_the_same_per_rewrite_step():
         assert str(x) == "1*v" and steps == 2 ** k - 1
         per_step.append(count / steps)
     assert max(_ratios(per_step)) <= 1.1, per_step
+
+
+def test_a_valid_sum_is_checked_without_walking_its_paths():
+    """normal_form_steps checks its terms in one inline pass over their
+    edges: a valid Cuntz sum of 256 projections on rose(2) calls no path or
+    vertex check of the graph."""
+    algebra, pairs = cuntz_sum(8)
+    for name in ("Graph._walk", "Graph.require_path", "Graph.require_vertex"):
+        assert calls(name, partial(algebra.normal_form_steps, pairs)) == 0, name
+    # The count sees a method: a path built from outside is walked once.
+    assert calls("Graph._walk", partial(algebra.path_element, pairs[0][1].real)) == 1
 
 
 @pytest.mark.parametrize("family", [line_graph] + FAMILIES, ids=lambda f: f.__name__)
